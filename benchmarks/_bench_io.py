@@ -6,7 +6,9 @@ The pytest-benchmark runs measure scaling shape interactively; the
 numbers for the compiled PL/AFA engine into a single
 ``BENCH_table1_pl.json`` at the repository root, and to drop a
 ``repro.obs`` JSONL trace artifact next to it (one per emitter; inspect
-with ``python -m repro.obs report <artifact>``).
+with ``python -m repro.obs report <artifact>``).  ``bench_table1_cq_nr.py``
+and ``bench_fig1_travel.py`` do the same for ``BENCH_table1_relational.json``
+through :func:`relational_main`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ BENCH_SCHEMA_VERSION = 2
 _REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 BENCH_TABLE1_PL = os.path.join(_REPO_ROOT, "BENCH_table1_pl.json")
+BENCH_TABLE1_RELATIONAL = os.path.join(_REPO_ROOT, "BENCH_table1_relational.json")
 
 
 def trace_artifact_path(emitter_file: str) -> str:
@@ -122,3 +125,72 @@ def merge_section(
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return data
+
+def relational_main(
+    emitter_file: str,
+    section: str,
+    experiment: str,
+    cases: Callable[[], list[tuple[str, Callable[[], Any]]]],
+    emit_trace: Callable[[str], None],
+    argv: list[str] | None = None,
+) -> None:
+    """Command line of the ``BENCH_table1_relational.json`` emitters.
+
+    Times every ``(case, call)`` best of 5 and records the call's result
+    (a verdict or an output size) next to the seconds.  ``--before``
+    names the JSON that the *same* emitter wrote in a checkout of the
+    baseline commit: its rows are matched on ``case``, must agree on the
+    result, and add ``seconds_before`` and ``speedup``.  Then writes the
+    emitter's trace artifact.
+    """
+    import argparse
+
+    script = os.path.basename(emitter_file)
+    parser = argparse.ArgumentParser(prog=script)
+    parser.add_argument(
+        "--before",
+        metavar="JSON",
+        help="BENCH_table1_relational.json written by this script in a "
+        "checkout of the baseline commit",
+    )
+    args = parser.parse_args(argv)
+    before = {}
+    if args.before:
+        with open(args.before) as handle:
+            before = {row["case"]: row for row in json.load(handle)[section]["rows"]}
+    rows = []
+    for case, call in cases():
+        seconds, result = timed(call, repeats=5)
+        row = {"case": case, "result": result, "seconds": round(seconds, 6)}
+        if args.before:
+            base = before[case]
+            if base["result"] != result:
+                raise SystemExit(f"{case}: result {result!r} differs from the baseline")
+            row["seconds_before"] = base["seconds"]
+            row["speedup"] = round(base["seconds"] / row["seconds"], 2)
+        rows.append(row)
+    payload = {
+        "experiment": experiment,
+        "seconds": "best of 5 wall-clock repetitions of the case",
+        "rows": rows,
+    }
+    if args.before:
+        payload["seconds_before"] = (
+            "seconds of the same emitter run in a checkout of the baseline commit"
+        )
+    merge_section(
+        BENCH_TABLE1_RELATIONAL,
+        section,
+        payload,
+        regenerate=(
+            f"PYTHONPATH=src python benchmarks/{script} "
+            "[--before <baseline checkout>/BENCH_table1_relational.json]"
+        ),
+    )
+    trace_path = trace_artifact_path(emitter_file)
+    emit_trace(trace_path)
+    print(f"wrote {BENCH_TABLE1_RELATIONAL} section {section}")
+    print(f"wrote {trace_path} (inspect: python -m repro.obs report)")
+    for row in rows:
+        extra = f"  {row['speedup']}x" if "speedup" in row else ""
+        print(f"  {row['case']:<44} {row['seconds']:.4f} s{extra}")

@@ -61,3 +61,93 @@ def test_f1_translated_fsa_as_sws(benchmark):
     value = benchmark(lambda: run_pl(sws, encoded).output)
     assert value
     benchmark.extra_info["sws_states"] = len(sws.states)
+
+
+# -- BENCH_table1_relational.json emission -----------------------------------
+
+#: Runs per timed repetition of a single travel run (each takes ~0.1 ms).
+RUNS = 100
+#: Step budget of the bounded searches; it counts runs, so a search does
+#: the same work (and reaches the same verdict) however fast each run is.
+FO_STEPS = 2000
+
+
+def cases():
+    """(case, call) per timed row; each call builds its own service."""
+    from repro.analysis import equivalent_fo_bounded, nonempty_fo_bounded
+
+    def runs(make_service, scenario):
+        database = travel.sample_database(
+            with_tickets=scenario == "tickets",
+            with_cars=scenario in ("tickets", "cars"),
+        )
+        request = travel.booking_request()
+
+        def call():
+            service = make_service()
+            for _ in range(RUNS):
+                output = run_relational(service, database, request).output
+            return f"{len(output)} packages"
+
+        return call
+
+    out = [
+        (f"tau1_run_x{RUNS}_{scenario}", runs(travel.travel_service, scenario))
+        for scenario in ("tickets", "cars", "nothing")
+    ]
+    out.append(
+        (f"tau2_run_x{RUNS}_tickets", runs(travel.recursive_airfare_service, "tickets"))
+    )
+    out.append(
+        (f"nonempty_fo_bounded_tau1_{FO_STEPS}_steps",
+         lambda: nonempty_fo_bounded(
+             travel.travel_service(), max_session_length=1, budget=FO_STEPS
+         ).verdict.value)
+    )
+    out.append(
+        (f"equivalent_fo_bounded_tau1_tau2_{FO_STEPS}_steps",
+         lambda: equivalent_fo_bounded(
+             travel.travel_service(), travel.recursive_airfare_service(),
+             max_domain=1, max_rows=1, max_session_length=1, budget=FO_STEPS,
+         ).verdict.value)
+    )
+    return out
+
+
+def emit_trace_artifact(path: str) -> None:
+    """A traced representative sweep, separate from the timed one."""
+    from repro import obs
+    from repro.analysis import equivalent_fo_bounded, nonempty_fo_bounded
+
+    obs.configure(path=path, mode="w")
+    try:
+        assert not nonempty_fo_bounded(
+            travel.travel_service(), max_session_length=1, budget=FO_STEPS
+        ).is_no
+        assert not equivalent_fo_bounded(
+            travel.travel_service(), travel.recursive_airfare_service(),
+            max_domain=1, max_rows=1, max_session_length=1, budget=FO_STEPS,
+        ).is_yes
+    finally:
+        obs.configure(enabled=False)
+
+
+def main(argv=None) -> None:
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from _bench_io import relational_main
+
+    relational_main(
+        __file__,
+        "fig1_travel",
+        "F1 travel service (SWS(FO, FO)) — runs and bounded searches",
+        cases,
+        emit_trace_artifact,
+        argv,
+    )
+
+
+if __name__ == "__main__":
+    main()

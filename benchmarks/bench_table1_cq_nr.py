@@ -70,3 +70,86 @@ def test_t1_3_validation_diamond(benchmark, depth, one_shot):
     assert answer.is_yes
     benchmark.extra_info["depth"] = depth
     benchmark.extra_info["output_rows"] = len(output)
+
+
+# -- BENCH_table1_relational.json emission -----------------------------------
+
+
+def _observed_output(service, depth):
+    """A nonempty output of a real run, as in the validation benchmark."""
+    gen = InstanceGenerator(seed=23, domain_size=2)
+    for _ in range(20):
+        database = gen.database(service.db_schema, 4)
+        inputs = gen.input_sequence(service.input_schema, depth + 1, 2)
+        output = run_relational(service, database, inputs).output.rows
+        if output:
+            return output
+    raise AssertionError("fixture never produced output")
+
+
+def cases():
+    """(case, call) per timed row; each call builds its own instances."""
+
+    def verdict(answer):
+        return answer.verdict.value
+
+    out = []
+    for depth in (2, 3, 4, 5):
+        out.append(
+            (f"nonempty_diamond_{depth}",
+             lambda d=depth: verdict(nonempty_cq_nr(cq_diamond_sws(d))))
+        )
+    for depth in (1, 2, 3):
+        out.append(
+            (f"equivalent_diamond_{depth}",
+             lambda d=depth: verdict(equivalent_cq_nr(cq_diamond_sws(d), cq_diamond_sws(d))))
+        )
+    for depth in (1, 2):
+        out.append(
+            (f"equivalent_diamond_{depth}_vs_{depth + 1}",
+             lambda d=depth: verdict(
+                 equivalent_cq_nr(cq_diamond_sws(d), cq_diamond_sws(d + 1))
+             ))
+        )
+    for depth in (1, 2):
+        output = _observed_output(cq_diamond_sws(depth), depth)
+        out.append(
+            (f"validate_diamond_{depth}",
+             lambda d=depth, o=output: verdict(validate_cq_nr(cq_diamond_sws(d), o)))
+        )
+    return out
+
+
+def emit_trace_artifact(path: str) -> None:
+    """A traced representative sweep, separate from the timed one."""
+    from repro import obs
+
+    obs.configure(path=path, mode="w")
+    try:
+        for depth in (2, 3):
+            assert nonempty_cq_nr(cq_diamond_sws(depth)).is_yes
+        assert equivalent_cq_nr(cq_diamond_sws(2), cq_diamond_sws(2)).is_yes
+        assert equivalent_cq_nr(cq_diamond_sws(1), cq_diamond_sws(2)).is_no
+    finally:
+        obs.configure(enabled=False)
+
+
+def main(argv=None) -> None:
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    from _bench_io import relational_main
+
+    relational_main(
+        __file__,
+        "cq_nr",
+        "T1.3 SWS_nr(CQ, UCQ) — expansion procedures on diamonds",
+        cases,
+        emit_trace_artifact,
+        argv,
+    )
+
+
+if __name__ == "__main__":
+    main()

@@ -325,10 +325,18 @@ REPRO_INTROSPECT_DIR="${INTROSPECT_DIR}" python - <<'PY'
 import os
 
 from repro import obs
-from repro.analysis import nonempty_pl, nonempty_pl_nr_sat
+from repro.analysis import (
+    equivalent_cq_nr,
+    equivalent_fo_bounded,
+    nonempty_cq_nr,
+    nonempty_fo_bounded,
+    nonempty_pl,
+    nonempty_pl_nr_sat,
+)
 from repro.obs import profile, progress
 from repro.reductions.sat_to_sws import clauses_from_tuples, cnf_to_sws
-from repro.workloads.scaling import pl_counter_sws, random_3cnf
+from repro.workloads import travel
+from repro.workloads.scaling import cq_diamond_sws, pl_counter_sws, random_3cnf
 
 assert not profile.is_enabled() and not progress.is_enabled()
 trace = os.path.join(os.environ["REPRO_INTROSPECT_DIR"], "overhead.trace.jsonl")
@@ -339,6 +347,15 @@ try:
     for seed in (0, 1):
         sws = cnf_to_sws(clauses_from_tuples(random_3cnf(seed, 8, 24)))
         nonempty_pl_nr_sat(sws)
+    # The relational-* bounds: expansion procedures and bounded FO searches.
+    for depth in (2, 3):
+        assert nonempty_cq_nr(cq_diamond_sws(depth)).is_yes
+    assert equivalent_cq_nr(cq_diamond_sws(2), cq_diamond_sws(2)).is_yes
+    tau1, tau2 = travel.travel_service(), travel.recursive_airfare_service()
+    assert not nonempty_fo_bounded(tau1, max_session_length=1, budget=2000).is_no
+    assert not equivalent_fo_bounded(
+        tau1, tau2, max_domain=1, max_rows=1, max_session_length=1, budget=2000
+    ).is_yes
 finally:
     obs.configure(enabled=False)
 PY

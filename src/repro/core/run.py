@@ -89,33 +89,36 @@ def run_relational(
             f"service's input schema arity {sws.input_schema.arity}"
         )
     payload = sws.input_schema
+    msg_schema = payload.renamed(MSG)
     out_schema = output_schema(sws)
-    empty_msg = Relation.empty(payload.renamed(MSG))
     empty_act = Relation.empty(out_schema)
     n = len(inputs)
-
-    def message_at(j: int) -> Relation:
-        return Relation(payload.renamed(IN), inputs.message(j).rows)
+    # Query evaluation reads rows only, never schema names: the database
+    # relations, I_j (looked up once per timestamp), each node's Msg and
+    # each child's Act enter the environments as they are.
+    db_env: dict[str, Relation] = {name: database[name] for name in database}
+    messages: dict[int, Relation] = {}
 
     def base_env(j: int, msg: Relation) -> dict[str, Relation]:
-        env: dict[str, Relation] = {name: database[name] for name in database}
-        env[IN] = message_at(j)
-        env[MSG] = Relation(payload.renamed(MSG), msg.rows)
+        if j not in messages:
+            messages[j] = inputs.message(j)
+        env = dict(db_env)
+        env[IN] = messages[j]
+        env[MSG] = msg
         return env
 
-    def evaluate(query, env: Mapping[str, Relation], schema: RelationSchema) -> Relation:
-        rows = query.evaluate(env)
-        return Relation(schema, rows)
+    def evaluate(query, env: Mapping[str, Relation]) -> Relation:
+        return Relation(out_schema, query.evaluate(env))
 
     if root_msg is None:
-        root_msg = empty_msg
+        root_msg = Relation.empty(msg_schema)
     elif root_msg.schema.arity != payload.arity:
         raise RunError(
             f"root message arity {root_msg.schema.arity} does not match "
             f"the input payload arity {payload.arity}"
         )
     root: ExecutionNode[Relation] = ExecutionNode(
-        sws.start, 1, Relation(payload.renamed(MSG), root_msg.rows)
+        sws.start, 1, Relation(msg_schema, root_msg.rows)
     )
     # Two-phase iterative traversal: EXPAND applies rules (1)-(3),
     # GATHER applies rule (4) once children are done.
@@ -128,8 +131,7 @@ def run_relational(
         j = node.timestamp
         if phase == EXPAND:
             if rule.is_final:
-                env = base_env(j, node.msg)
-                node.act = evaluate(sigma, env, out_schema)
+                node.act = evaluate(sigma, base_env(j, node.msg))
                 continue
             starved = j > n
             dead = (not node.msg) and node is not root
@@ -138,29 +140,25 @@ def run_relational(
                 continue
             env = base_env(j, node.msg)
             for target, phi in rule.targets:
-                msg_rows = phi.evaluate(env)
-                child_msg = Relation(payload.renamed(MSG), msg_rows)
+                child_msg = Relation(msg_schema, phi.evaluate(env))
                 node.children.append(ExecutionNode(target, j + 1, child_msg))
             stack.append((node, GATHER))
             for child in reversed(node.children):
                 stack.append((child, EXPAND))
         else:  # GATHER
-            env = _register_env(sws, node, out_schema)
-            node.act = evaluate(sigma, env, out_schema)
+            node.act = evaluate(sigma, _register_env(sws, node))
     assert root.act is not None
     return RunResult(output=root.act, tree=root)
 
 
-def _register_env(
-    sws: SWS, node: ExecutionNode[Relation], out_schema: RelationSchema
-) -> dict[str, Relation]:
+def _register_env(sws: SWS, node: ExecutionNode[Relation]) -> dict[str, Relation]:
     aliases = sws.successor_register_aliases(node.state)
     env: dict[str, Relation] = {}
     for name, position in aliases.items():
         child = node.children[position]
         if child.act is None:
             raise RunError("gathering before all children are defined")
-        env[name] = Relation(out_schema.renamed(name), child.act.rows)
+        env[name] = child.act
     return env
 
 

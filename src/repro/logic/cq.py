@@ -7,7 +7,9 @@ implements:
 
 * the CQ data type with relational atoms, equalities and inequalities;
 * evaluation against a database (any mapping of relation names to
-  :class:`~repro.data.relation.Relation`), via backtracking joins;
+  :class:`~repro.data.relation.Relation`) from a join plan compiled once
+  per query: a fixed atom order whose steps probe hash indexes on the
+  positions earlier steps bind;
 * satisfiability (consistency of the =/≠ constraints);
 * canonical databases, including the enumeration over *equality patterns*
   (partitions of the query's terms) that Klug's containment test for queries
@@ -34,6 +36,14 @@ from repro.logic.terms import (
     partitions,
     term_value,
 )
+
+#: Marks a memo slot whose value (possibly ``None``) is not computed yet.
+_UNSET = object()
+#: Marks a query that is its own normal form.
+_SELF = object()
+
+#: Per-instance memos that pickling drops (see ``__getstate__``).
+_DERIVED = ("_classes", "_normal", "_plan")
 
 
 @dataclass(frozen=True)
@@ -123,7 +133,14 @@ class ConjunctiveQuery:
     and every variable in a comparison must be range-restricted, i.e. occur
     in a relational atom or be transitively equated to one (or to a
     constant).
+
+    The equality closure, the normal form and the evaluation plan are
+    derived on first use and memoized on the instance.
     """
+
+    _classes: "list[list[Term]] | None" = None
+    _normal: "ConjunctiveQuery | None | object" = _UNSET
+    _plan: "_JoinPlan | None" = None
 
     def __init__(
         self,
@@ -213,61 +230,59 @@ class ConjunctiveQuery:
     def __repr__(self) -> str:
         return f"<CQ {self}>"
 
+    def __getstate__(self) -> dict:
+        # The closure, normal form and plan are derived on first use; they
+        # never travel through pickles (worker IPC, the artifact store).
+        state = dict(self.__dict__)
+        for key in _DERIVED:
+            state.pop(key, None)
+        return state
+
     # -- safety --------------------------------------------------------------------
 
     def _check_safety(self) -> None:
-        classes = self._equality_classes()
-        restricted: set[Variable] = set()
-        atom_vars = {v for a in self.atoms for v in a.variables()}
-        for cls in classes.values():
-            grounded = any(isinstance(t, Constant) for t in cls) or any(
-                t in atom_vars for t in cls if isinstance(t, Variable)
-            )
-            if grounded:
-                restricted |= {t for t in cls if isinstance(t, Variable)}
-        restricted |= atom_vars
-        needed = {t for t in self.head if isinstance(t, Variable)}
+        atom_vars = {t for a in self.atoms for t in a.terms if isinstance(t, Variable)}
+        terms = list(self.head)
         for comp in self.comparisons:
-            needed |= comp.variables()
-        unsafe = needed - restricted
+            terms += (comp.left, comp.right)
+        unsafe = {t for t in terms if isinstance(t, Variable) and t not in atom_vars}
+        if not unsafe:
+            return  # the closure is needed only for variables outside atoms
+        for cls in self._equality_classes():
+            if any(isinstance(t, Constant) or t in atom_vars for t in cls):
+                unsafe.difference_update(cls)
         if unsafe:
             raise QueryError(
                 f"query {self.name!r} is unsafe: variables "
                 f"{sorted(v.name for v in unsafe)} are not range-restricted"
             )
 
-    def _equality_classes(self) -> dict[Term, list[Term]]:
-        """Union-find closure of the equality atoms, keyed by representative."""
-        parent: dict[Term, Term] = {}
+    def _equality_classes(self) -> list[list[Term]]:
+        """The classes of the closure of the equality atoms.
 
-        def find(t: Term) -> Term:
-            parent.setdefault(t, t)
-            while parent[t] != t:
-                parent[t] = parent[parent[t]]
-                t = parent[t]
-            return t
-
-        def union(a: Term, b: Term) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for term in self._all_terms():
-            find(term)
+        Only terms of ``=`` atoms appear: every other term is its own
+        singleton class, which neither grounds a variable nor renames one.
+        Computed once per query.
+        """
+        if self._classes is not None:
+            return self._classes
+        class_of: dict[Term, list[Term]] = {}
         for comp in self.equalities():
-            union(comp.left, comp.right)
-        classes: dict[Term, list[Term]] = {}
-        for term in parent:
-            classes.setdefault(find(term), []).append(term)
-        return classes
-
-    def _all_terms(self) -> Iterator[Term]:
-        yield from self.head
-        for atom in self.atoms:
-            yield from atom.terms
-        for comp in self.comparisons:
-            yield comp.left
-            yield comp.right
+            left, right = class_of.get(comp.left), class_of.get(comp.right)
+            if left is None and right is None:
+                merged = list(dict.fromkeys((comp.left, comp.right)))
+            elif left is None or right is None:
+                merged = left or right
+                merged.append(comp.left if left is None else comp.right)
+            elif left is not right:
+                merged, absorbed = (left, right) if len(left) >= len(right) else (right, left)
+                merged.extend(absorbed)
+            else:
+                continue
+            for term in merged:
+                class_of[term] = merged
+        self._classes = list({id(c): c for c in class_of.values()}.values())
+        return self._classes
 
     # -- satisfiability ---------------------------------------------------------------
 
@@ -276,11 +291,20 @@ class ConjunctiveQuery:
 
         Returns an equivalent query without equality atoms, or ``None`` when
         the =/≠ constraints are inconsistent (two distinct constants forced
-        equal, or an inequality within one class).
+        equal, or an inequality within one class).  Memoized; the normal
+        form is its own normal form.
         """
-        classes = self._equality_classes()
+        normal = self._normal
+        if normal is _UNSET:
+            normal = self._normalize()
+            # A self-reference would be a cycle only the collector frees.
+            self._normal = _SELF if normal is self else normal
+            return normal
+        return self if normal is _SELF else normal
+
+    def _normalize(self) -> "ConjunctiveQuery | None":
         mapping: dict[Variable, Term] = {}
-        for cls in classes.values():
+        for cls in self._equality_classes():
             constants = [t for t in cls if isinstance(t, Constant)]
             if len({c.value for c in constants}) > 1:
                 return None
@@ -304,12 +328,17 @@ class ConjunctiveQuery:
             if isinstance(left, Constant) and isinstance(right, Constant):
                 continue  # distinct constants: trivially satisfied
             new_ineqs.append(Comparison(left, right, negated=True))
-        return ConjunctiveQuery(
+        inequalities = tuple(dict.fromkeys(new_ineqs))
+        if not mapping and inequalities == self.comparisons:
+            return self
+        normal = ConjunctiveQuery(
             tuple(_apply(t, mapping) for t in self.head),
             tuple(a.rename(mapping) for a in self.atoms),
-            tuple(dict.fromkeys(new_ineqs)),
+            inequalities,
             self.name,
         )
+        normal._normal = _SELF
+        return normal
 
     def is_satisfiable(self) -> bool:
         """Whether some database makes the query return its head."""
@@ -322,57 +351,13 @@ class ConjunctiveQuery:
         normalized = self.normalized()
         if normalized is None:
             return frozenset()
-        results: set[Row] = set()
-        for substitution in normalized._matches(database):
-            if not normalized._inequalities_hold(substitution):
-                continue
-            results.add(
-                tuple(term_value(t, substitution) for t in normalized.head)
-            )
-        return frozenset(results)
+        if normalized._plan is None:
+            normalized._plan = _JoinPlan(normalized)
+        return normalized._plan.run(database, normalized.name)
 
     def holds(self, database: Mapping[str, Relation]) -> bool:
         """For boolean queries: whether the body is satisfied."""
         return bool(self.evaluate(database))
-
-    def _matches(self, database: Mapping[str, Relation]) -> Iterator[dict[Variable, Any]]:
-        """Backtracking join over the relational atoms."""
-        ordered = self._atom_order()
-        yield from self._match_atoms(ordered, 0, {}, database)
-
-    def _atom_order(self) -> list[Atom]:
-        """Greedy join order: maximize bound variables at each step."""
-        remaining = list(self.atoms)
-        bound: set[Variable] = set()
-        ordered: list[Atom] = []
-        while remaining:
-            best = max(remaining, key=lambda a: (len(a.variables() & bound), -len(a.variables())))
-            ordered.append(best)
-            remaining.remove(best)
-            bound |= best.variables()
-        return ordered
-
-    def _match_atoms(
-        self,
-        atoms: list[Atom],
-        index: int,
-        substitution: dict[Variable, Any],
-        database: Mapping[str, Relation],
-    ) -> Iterator[dict[Variable, Any]]:
-        if index == len(atoms):
-            yield dict(substitution)
-            return
-        atom = atoms[index]
-        if atom.relation not in database:
-            raise QueryError(
-                f"query {self.name!r} mentions relation {atom.relation!r} "
-                f"absent from the database ({sorted(database)})"
-            )
-        for row in database[atom.relation]:
-            extension = _unify(atom.terms, row, substitution)
-            if extension is None:
-                continue
-            yield from self._match_atoms(atoms, index + 1, extension, database)
 
     def _inequalities_hold(self, substitution: Substitution) -> bool:
         for comp in self.inequalities():
@@ -528,29 +513,159 @@ class ConjunctiveQuery:
         return ConjunctiveQuery(self.head, atoms, self.comparisons, self.name)
 
 
-def _unify(
-    terms: Sequence[Term], row: Row, substitution: Mapping[Variable, Any]
-) -> dict[Variable, Any] | None:
-    """Extend a substitution so the atom's terms match ``row``."""
-    if len(terms) != len(row):
-        raise QueryError(
-            f"atom arity {len(terms)} does not match row arity {len(row)}"
-        )
-    extension = dict(substitution)
-    for term, value in zip(terms, row):
-        if isinstance(term, Constant):
-            if term.value != value:
-                return None
-        else:
-            bound = extension.get(term, _UNBOUND)
-            if bound is _UNBOUND:
-                extension[term] = value
-            elif bound != value:
-                return None
-    return extension
+class _Step:
+    """One atom of a join plan.
+
+    ``filters`` pin positions to constants and ``repeats`` tie a position
+    to an earlier one (a variable repeated within the atom); both are
+    applied while the index is built.  ``key_positions`` hold variables
+    that earlier steps bound, read from ``key_slots``; ``binds`` store the
+    first occurrences of new variables; ``checks`` are the inequalities
+    whose both sides are known once this step has bound its variables.
+    """
+
+    __slots__ = (
+        "relation", "arity", "filters", "repeats",
+        "key_positions", "key_slots", "binds", "checks",
+    )
+
+    def __init__(
+        self,
+        atom: Atom,
+        slots: dict[Term, int],
+        bound: set[Variable],
+        checks: Iterable[tuple[int, int]],
+    ) -> None:
+        self.relation = atom.relation
+        self.arity = len(atom.terms)
+        filters: list[tuple[int, Any]] = []
+        repeats: list[tuple[int, int]] = []
+        key_positions: list[int] = []
+        key_slots: list[int] = []
+        binds: list[tuple[int, int]] = []
+        first: dict[Variable, int] = {}
+        for position, term in enumerate(atom.terms):
+            if isinstance(term, Constant):
+                filters.append((position, term.value))
+            elif term in bound:
+                key_positions.append(position)
+                key_slots.append(slots[term])
+            elif term in first:
+                repeats.append((position, first[term]))
+            else:
+                first[term] = position
+                binds.append((slots[term], position))
+        self.filters = tuple(filters)
+        self.repeats = tuple(repeats)
+        self.key_positions = tuple(key_positions)
+        self.key_slots = tuple(key_slots)
+        self.binds = tuple(binds)
+        self.checks = tuple(checks)
+
+    def index(
+        self, database: Mapping[str, Relation], query_name: str
+    ) -> "list[Row] | dict[tuple, list[Row]]":
+        """The atom's matching rows, keyed on ``key_positions`` if any."""
+        if self.relation not in database:
+            raise QueryError(
+                f"query {query_name!r} mentions relation {self.relation!r} "
+                f"absent from the database ({sorted(database)})"
+            )
+        filters, repeats = self.filters, self.repeats
+        rows: list[Row] = []
+        for row in database[self.relation]:
+            if len(row) != self.arity:
+                raise QueryError(
+                    f"atom arity {self.arity} does not match row arity {len(row)}"
+                )
+            if all(row[p] == value for p, value in filters) and all(
+                row[p] == row[q] for p, q in repeats
+            ):
+                rows.append(row)
+        if not self.key_positions:
+            return rows
+        index: dict[tuple, list[Row]] = {}
+        positions = self.key_positions
+        for row in rows:
+            index.setdefault(tuple([row[p] for p in positions]), []).append(row)
+        return index
 
 
-_UNBOUND = object()
+class _JoinPlan:
+    """The compiled evaluation plan of an equality-free (normalized) CQ.
+
+    Variables and the head/inequality constants live in one value array;
+    the steps follow the greedy join order that maximizes bound variables
+    at each atom.  :meth:`run` builds each step's hash index on first use
+    within the call, so the indexes never outlive one evaluation.
+    """
+
+    __slots__ = ("steps", "template", "head_slots")
+
+    def __init__(self, query: ConjunctiveQuery) -> None:
+        slots: dict[Term, int] = {}
+        template: list[Any] = []
+
+        def slot(term: Term) -> int:
+            if term not in slots:
+                slots[term] = len(template)
+                template.append(term.value if isinstance(term, Constant) else None)
+            return slots[term]
+
+        for variable in sorted(query.variables()):
+            slot(variable)
+        remaining = list(query.atoms)
+        pending = list(query.inequalities())
+        bound: set[Variable] = set()
+        steps: list[_Step] = []
+        while remaining:
+            best = max(
+                remaining,
+                key=lambda a: (len(a.variables() & bound), -len(a.variables())),
+            )
+            remaining.remove(best)
+            known = bound | best.variables()
+            # An inequality is tested at the first step that binds both
+            # sides (safety puts every variable of a normal form in an atom).
+            ready = [c for c in pending if c.variables() <= known]
+            pending = [c for c in pending if not c.variables() <= known]
+            checks = [(slot(c.left), slot(c.right)) for c in ready]
+            steps.append(_Step(best, slots, bound, checks))
+            bound = known
+        self.steps = tuple(steps)
+        self.head_slots = tuple(slot(t) for t in query.head)
+        self.template = tuple(template)
+
+    def run(self, database: Mapping[str, Relation], query_name: str) -> frozenset[Row]:
+        """The head tuples of every match that passes the inequalities."""
+        steps = self.steps
+        last = len(steps)
+        head = self.head_slots
+        values = list(self.template)
+        indexes: list[Any] = [None] * last
+        out: set[Row] = set()
+
+        def extend(depth: int) -> None:
+            if depth == last:
+                out.add(tuple([values[s] for s in head]))
+                return
+            step = steps[depth]
+            index = indexes[depth]
+            if index is None:
+                index = indexes[depth] = step.index(database, query_name)
+            if step.key_slots:
+                index = index.get(tuple([values[s] for s in step.key_slots]), ())
+            for row in index:
+                for s, p in step.binds:
+                    values[s] = row[p]
+                for a, b in step.checks:
+                    if values[a] == values[b]:
+                        break
+                else:
+                    extend(depth + 1)
+
+        extend(0)
+        return frozenset(out)
 
 
 def _facts_as_database(

@@ -21,13 +21,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.data.relation import Relation, Row
 from repro.errors import QueryError
 from repro.logic import pl
 from repro.logic.cq import Atom, ConjunctiveQuery
 from repro.logic.terms import Constant, Term, Variable, term_value
+
+#: Candidate bindings for some free variables of a formula: the variables
+#: and a function from a database to the set of their value tuples.  Sound:
+#: every assignment under which the formula holds restricts to one of the
+#: tuples.  ``None`` stands for "no constraint derived".
+CandidateGenerator = tuple[tuple[Variable, ...], Callable[[Mapping[str, Relation]], set[Row]]]
 
 
 class FOFormula:
@@ -60,6 +66,10 @@ class FOFormula:
         fact_var: "FactNamer",
     ) -> pl.Formula:
         raise NotImplementedError
+
+    def _generator(self) -> CandidateGenerator | None:
+        """Candidate bindings drawn from positive atoms and ``var = c``."""
+        return None
 
     # -- sugar ------------------------------------------------------------------
 
@@ -101,6 +111,33 @@ class RelAtom(FOFormula):
         row = tuple(term_value(t, assignment) for t in self.atom.terms)
         return pl.Var(fact_var(self.atom.relation, row))
 
+    def _generator(self) -> CandidateGenerator:
+        relation, terms = self.atom.relation, self.atom.terms
+        arity = len(terms)
+        first: dict[Variable, int] = {}
+        tests: list[tuple[int, int | None, Any]] = []
+        for position, term in enumerate(terms):
+            if isinstance(term, Constant):
+                tests.append((position, None, term.value))
+            elif term in first:
+                tests.append((position, first[term], None))
+            else:
+                first[term] = position
+        positions = tuple(first.values())
+
+        def rows(database: Mapping[str, Relation]) -> set[Row]:
+            return {
+                tuple([row[p] for p in positions])
+                for row in database[relation]
+                if len(row) == arity
+                and all(
+                    row[p] == (value if q is None else row[q])
+                    for p, q, value in tests
+                )
+            }
+
+        return tuple(first), rows
+
     def __str__(self) -> str:
         return str(self.atom)
 
@@ -131,6 +168,15 @@ class Equals(FOFormula):
     def _ground(self, assignment, domain, fact_var) -> pl.Formula:
         same = term_value(self.left, assignment) == term_value(self.right, assignment)
         return pl.TRUE if same else pl.FALSE
+
+    def _generator(self) -> CandidateGenerator | None:
+        sides = (self.left, self.right)
+        variables = [t for t in sides if isinstance(t, Variable)]
+        constants = [t for t in sides if isinstance(t, Constant)]
+        if len(variables) != 1 or len(constants) != 1:
+            return None
+        only = {(constants[0].value,)}
+        return (variables[0],), lambda database: set(only)
 
     def __str__(self) -> str:
         return f"{self.left} = {self.right}"
@@ -185,6 +231,14 @@ class AndF(FOFormula):
     def _ground(self, assignment, domain, fact_var) -> pl.Formula:
         return pl.And([op._ground(assignment, domain, fact_var) for op in self.operands])
 
+    def _generator(self) -> CandidateGenerator | None:
+        joined: CandidateGenerator | None = None
+        for op in self.operands:
+            generator = op._generator()
+            if generator is not None:
+                joined = generator if joined is None else _join(joined, generator)
+        return joined
+
     def __str__(self) -> str:
         return " ∧ ".join(f"({op})" for op in self.operands) if self.operands else "⊤"
 
@@ -212,6 +266,28 @@ class OrF(FOFormula):
 
     def _ground(self, assignment, domain, fact_var) -> pl.Formula:
         return pl.Or([op._ground(assignment, domain, fact_var) for op in self.operands])
+
+    def _generator(self) -> CandidateGenerator | None:
+        generators = [op._generator() for op in self.operands]
+        if any(g is None for g in generators):
+            return None
+        if not generators:
+            return (), lambda database: set()
+        variables = generators[0][0]
+        if any(set(g[0]) != set(variables) for g in generators):
+            return None
+        parts = [
+            (rows, tuple(g_vars.index(v) for v in variables))
+            for g_vars, rows in generators
+        ]
+
+        def rows(database: Mapping[str, Relation]) -> set[Row]:
+            out: set[Row] = set()
+            for part, order in parts:
+                out.update(tuple([row[i] for i in order]) for row in part(database))
+            return out
+
+        return variables, rows
 
     def __str__(self) -> str:
         return " ∨ ".join(f"({op})" for op in self.operands) if self.operands else "⊥"
@@ -252,6 +328,20 @@ class Exists(FOFormula):
             extended.update(zip(self.variables, values))
             parts.append(self.body._ground(extended, domain, fact_var))
         return pl.Or(parts)
+
+    def _generator(self) -> CandidateGenerator | None:
+        generator = self.body._generator()
+        if generator is None:
+            return None
+        variables, body_rows = generator
+        keep = tuple(i for i, v in enumerate(variables) if v not in self.variables)
+        if len(keep) == len(variables):
+            return generator
+
+        def rows(database: Mapping[str, Relation]) -> set[Row]:
+            return {tuple([row[i] for i in keep]) for row in body_rows(database)}
+
+        return tuple(variables[i] for i in keep), rows
 
     def __str__(self) -> str:
         names = ", ".join(v.name for v in self.variables)
@@ -299,6 +389,32 @@ class Forall(FOFormula):
         return f"∀{names}.({self.body})"
 
 
+def _join(left: CandidateGenerator, right: CandidateGenerator) -> CandidateGenerator:
+    """Natural join of two candidate generators (a hash join)."""
+    left_vars, left_rows = left
+    right_vars, right_rows = right
+    left_key = tuple(left_vars.index(v) for v in right_vars if v in left_vars)
+    right_key = tuple(i for i, v in enumerate(right_vars) if v in left_vars)
+    extra = tuple(i for i, v in enumerate(right_vars) if v not in left_vars)
+
+    def rows(database: Mapping[str, Relation]) -> set[Row]:
+        lefts = left_rows(database)
+        if not lefts:
+            return lefts
+        index: dict[Row, list[Row]] = {}
+        for row in right_rows(database):
+            index.setdefault(tuple([row[i] for i in right_key]), []).append(
+                tuple([row[i] for i in extra])
+            )
+        return {
+            row + tail
+            for row in lefts
+            for tail in index.get(tuple([row[i] for i in left_key]), ())
+        }
+
+    return left_vars + tuple(right_vars[i] for i in extra), rows
+
+
 def atom(relation: str, *terms: Term) -> RelAtom:
     """Shorthand for a relational atom formula."""
     return RelAtom(Atom(relation, terms))
@@ -312,7 +428,16 @@ class FOQuery:
     query's own constants.  This matches the relational-transducer models
     the paper builds on (genericity/domain independence is the caller's
     concern, as usual in that literature).
+
+    Head bindings are not enumerated blindly: the formula's top-level
+    positive atoms and ``var = constant`` equalities (joined through ∧,
+    unioned through ∨ when every disjunct binds the same variables,
+    projected through ∃) generate candidates, only the remaining head
+    variables range over the active domain, and every candidate is checked
+    against the full formula.  The generator is compiled on first use.
     """
+
+    _plan: "tuple[frozenset[str], CandidateGenerator, tuple[Variable, ...], tuple[int, ...]] | None" = None
 
     def __init__(
         self,
@@ -335,7 +460,6 @@ class FOQuery:
                 f"free variables {sorted(v.name for v in stray)} of "
                 f"{name!r} are not in the head; quantify them explicitly"
             )
-        self._unconstrained = frozenset(self.head) - formula.free_variables()
 
     @property
     def arity(self) -> int:
@@ -347,21 +471,52 @@ class FOQuery:
         return self.formula.relations()
 
     def evaluate(self, database: Mapping[str, Relation]) -> frozenset[Row]:
-        """Answers under active-domain semantics."""
+        """Answers under active-domain semantics.
+
+        Raises :class:`QueryError` when the formula mentions a relation
+        absent from ``database``.
+        """
+        if self._plan is None:
+            self._plan = self._compile()
+        relations, (bound, candidates), order, output = self._plan
+        for relation in sorted(relations):
+            if relation not in database:
+                raise QueryError(
+                    f"formula mentions relation {relation!r} absent "
+                    f"from the database"
+                )
         domain = sorted(active_domain(database, self.formula), key=repr)
+        holds = self.formula._holds
+        free = len(order) - len(bound)
         out: set[Row] = set()
-        for values in itertools.product(domain, repeat=len(self.head)):
-            assignment = dict(zip(self.head, values))
-            if self.formula._holds(database, assignment, domain):
-                out.add(values)
+        for row in candidates(database):
+            for rest in itertools.product(domain, repeat=free):
+                values = row + rest
+                if holds(database, dict(zip(order, values)), domain):
+                    out.add(tuple([values[i] for i in output]))
         return frozenset(out)
+
+    def _compile(
+        self,
+    ) -> tuple[frozenset[str], CandidateGenerator, tuple[Variable, ...], tuple[int, ...]]:
+        """Relations, candidate generator, binding order, head positions."""
+        generator = self.formula._generator()
+        if generator is None:
+            generator = ((), lambda database: {()})
+        bound = generator[0]
+        order = bound + tuple(v for v in self.head if v not in bound)
+        output = tuple(order.index(v) for v in self.head)
+        return self.formula.relations(), generator, order, output
+
+    def __getstate__(self) -> dict:
+        # The compiled plan holds closures; it is rebuilt on first use.
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
 
     def holds(self, database: Mapping[str, Relation]) -> bool:
         """For boolean queries: truth of the (closed) formula."""
-        if self.head:
-            return bool(self.evaluate(database))
-        domain = sorted(active_domain(database, self.formula), key=repr)
-        return self.formula._holds(database, {}, domain)
+        return bool(self.evaluate(database))
 
     def __str__(self) -> str:
         head = ", ".join(v.name for v in self.head)
@@ -397,7 +552,9 @@ class FactNamer:
     def __call__(self, relation: str, row: Row) -> str:
         key = (relation, row)
         if key not in self._names:
-            self._names[key] = f"fact_{relation}_" + "_".join(repr(v) for v in row)
+            # Ordinal names are injective; names built from the relation
+            # and the row's reprs collide (``R_1('a')`` vs ``R(1, 'a')``).
+            self._names[key] = f"fact{len(self._names)}"
         return self._names[key]
 
     def decode(self) -> dict[str, tuple[str, Row]]:

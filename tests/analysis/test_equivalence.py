@@ -143,8 +143,11 @@ class TestFO:
             max_session_length=1,
             budget=100000,
         )
-        # The bounded search may or may not find the disagreement within
-        # budget, but it must never claim YES.
+        # The search ends UNKNOWN: it trips the step budget after 100 000
+        # runs without reaching a disagreement.  The budget counts runs, not
+        # time, so faster query evaluation finishes sooner but decides no
+        # more.  Whatever the outcome, the bounded search must never claim
+        # YES.
         assert not answer.is_yes
 
 

@@ -72,6 +72,25 @@ class TestEvaluation:
         with pytest.raises(QueryError):
             q.evaluate({})
 
+    def test_quantifier_shadowing_a_head_variable(self, db):
+        # The inner y is a different variable: its values must not
+        # restrict the head's y.
+        q = fo.FOQuery(
+            (x, y),
+            fo.AndF([fo.atom("E", x, y), fo.Exists((y,), fo.atom("E", y, const(1)))]),
+        )
+        assert q.evaluate(db) == {(1, 2), (2, 3), (3, 1)}
+
+    def test_head_variable_not_free(self, db):
+        q = fo.FOQuery((x, z), fo.atom("E", x, const(2)))
+        assert q.evaluate(db) == {(1, 1), (1, 2), (1, 3)}
+
+    def test_disjuncts_binding_different_variables(self, db):
+        q = fo.FOQuery(
+            (x, y), fo.OrF([fo.atom("E", x, y), fo.Equals(x, const(3))])
+        )
+        assert q.evaluate(db) == {(1, 2), (2, 3), (3, 1), (3, 2), (3, 3)}
+
     def test_duplicate_head_rejected(self):
         with pytest.raises(QueryError, match="duplicate"):
             fo.FOQuery((x, x), fo.atom("E", x, x))
@@ -114,6 +133,27 @@ class TestGrounding:
         negated = fo.NotF(sentence)
         grounded_neg = fo.ground_to_sat(negated, [0, 1])
         assert satisfiable(grounded_neg)  # the empty E is a model
+
+
+class TestFactNamer:
+    def test_names_are_injective_and_decode_exactly(self):
+        namer = fo.FactNamer()
+        first = namer("R_1", ("a",))
+        second = namer("R", (1, "a"))
+        assert first != second
+        assert namer("R_1", ("a",)) == first
+        assert namer.decode() == {first: ("R_1", ("a",)), second: ("R", (1, "a"))}
+
+    def test_colliding_reprs_keep_distinct_facts(self):
+        # R_1('a') ∧ ¬R(1, 'a') has the model {R_1('a')}; when both facts
+        # shared one propositional variable the grounding was unsatisfiable.
+        sentence = fo.AndF(
+            [
+                fo.atom("R_1", const("a")),
+                fo.NotF(fo.atom("R", const(1), const("a"))),
+            ]
+        )
+        assert fo.bounded_satisfiable(sentence, 2) == (True, 2)
 
 
 class TestBoundedSatisfiability:

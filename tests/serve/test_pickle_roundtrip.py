@@ -150,3 +150,51 @@ def test_answer_and_budget():
     assert copy == answer and copy.verdict is Verdict.YES
     budget = Budget(deadline_s=1.5, step_budget=100)
     assert roundtrip(budget) == budget
+
+
+def test_evaluation_memos_never_reach_the_wire():
+    """Normal forms and plans are built on first use and dropped by pickle.
+
+    Worker IPC and the artifact store see the same bytes and the same job
+    fingerprint whether or not an instance was evaluated or normalized.
+    """
+    from repro.analysis import nonempty_cq_nr
+    from repro.core.run import run_relational
+    from repro.serve.fingerprint import job_fingerprint
+    from repro.workloads.travel import travel_service
+
+    x, y = Variable("x"), Variable("y")
+    cq = ConjunctiveQuery(
+        (x,),
+        [Atom("R", (x, y))],
+        [Comparison(y, Constant(1), negated=False), Comparison(x, y, negated=True)],
+    )
+    plain = ConjunctiveQuery((x,), [Atom("R", (y, x))])
+    ucq = UnionQuery([cq, plain], arity=1)
+    foq = fo.FOQuery(
+        (x,), fo.OrF([fo.atom("R", x, Constant(1)), fo.NotF(fo.atom("R", x, x))])
+    )
+    travel, diamond = travel_service(), cq_diamond_sws(2)
+    instances = {"cq": cq, "ucq": ucq, "fo": foq, "travel": travel, "diamond": diamond}
+
+    def wire():
+        return {
+            name: (pickle.dumps(value), job_fingerprint("probe", (value,)))
+            for name, value in instances.items()
+        }
+
+    before = wire()
+    schema = RelationSchema("R", ("a", "b"))
+    db = {"R": Relation(schema, [(0, 1), (2, 1), (3, 3)])}
+    answers = {"cq": cq.evaluate(db), "ucq": ucq.evaluate(db), "fo": foq.evaluate(db)}
+    assert cq.normalized() is cq.normalized() and ucq.is_satisfiable()
+    packages = run_relational(travel, sample_database(), booking_request()).output
+    assert packages and nonempty_cq_nr(diamond).is_yes
+    assert wire() == before
+
+    for name, query in (("cq", cq), ("ucq", ucq), ("fo", foq)):
+        copy = roundtrip(query)
+        assert copy.evaluate(db) == answers[name]
+    assert not {"_classes", "_normal", "_plan"} & set(vars(roundtrip(cq)))
+    assert "_plan" not in vars(roundtrip(foq))
+    assert run_relational(roundtrip(travel), sample_database(), booking_request()).output == packages
