@@ -8,16 +8,11 @@ the edit, not the instance — while a from-scratch solve re-pays
 canonicalization, ``to_afa``, formula compilation, and the vector BFS
 on every keystroke.
 
-Two sections into ``BENCH_delta.json``:
-
-* ``menu_editing`` — the lead: union "menu" services (Table 1's PL
-  shape) at growing branch counts, each re-checked over a deterministic
-  single-row edit script.  The per-edit re-check must beat the full
-  re-solve by ≥5× and should stay roughly flat as the instance grows.
-* ``counter_resume`` — budget-tripped succinct counters re-checked with
-  a bigger budget: the resume path seeds the BFS from the snapshot's
-  surviving frontier instead of restarting at ``V_ε``.  Reported
-  honestly: the win is the re-discovered prefix, not a constant factor.
+One section into ``BENCH_delta.json``, ``menu_editing``: union "menu"
+services (Table 1's PL shape) at growing branch counts, each re-checked
+over a deterministic single-row edit script.  The per-edit re-check
+must beat the full re-solve by ≥5× and should stay roughly flat as the
+instance grows.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ import pytest
 from repro.analysis import nonempty_pl
 from repro.delta import Session
 from repro.workloads.editing import menu_editing_trace
-from repro.workloads.scaling import pl_counter_sws
 
 #: Menu sizes (branch counts) for the editing sweep; words are length 6
 #: over a 6-letter alphabet, so states ≈ branches · 6.
@@ -141,64 +135,14 @@ def bench_menu_editing() -> dict:
     }
 
 
-def bench_counter_resume() -> dict:
-    from _bench_io import timed
-
-    rows = []
-    for bits, budget in ((10, 30), (12, 2000)):
-        sws = pl_counter_sws(bits)
-        full_s, full_answer = timed(lambda: nonempty_pl(sws))
-        assert full_answer.is_yes
-
-        # Trip outside the timed region: the bench measures the resumed
-        # search, not the budget-starved first attempt.
-        best_resume = float("inf")
-        result = None
-        seeded = 0
-        for _ in range(3):
-            session = Session(sws, budget=budget)
-            assert session.check().is_unknown
-            seeded = len(session.state.parents or ())
-            elapsed, result = timed(
-                lambda: session.recheck(budget=10**9), repeats=1
-            )
-            best_resume = min(best_resume, elapsed)
-        assert result.mode == "resume" and result.answer.is_yes
-        rows.append(
-            {
-                "bits": bits,
-                "trip_budget": budget,
-                "seeded_vectors": seeded,
-                "full_solve_s": round(full_s, 6),
-                "resume_s": round(best_resume, 6),
-                "resume_pops": result.pops,
-            }
-        )
-    return {
-        "note": (
-            "resume seeds the BFS from the tripped snapshot's surviving "
-            "frontier; the saving is the already-discovered prefix, not "
-            "a constant factor, so no speedup bar is asserted here"
-        ),
-        "rows": rows,
-    }
-
-
 def main() -> None:
     from _bench_io import merge_section
 
     menu = bench_menu_editing()
-    counter = bench_counter_resume()
     merge_section(
         "BENCH_delta.json",
         "menu_editing",
         menu,
-        regenerate="python benchmarks/bench_delta.py",
-    )
-    merge_section(
-        "BENCH_delta.json",
-        "counter_resume",
-        counter,
         regenerate="python benchmarks/bench_delta.py",
     )
     failed = [
@@ -212,13 +156,6 @@ def main() -> None:
             f"({row['speedup_mean']:.1f}x), "
             f"{row['recheck_best_s'] * 1e3:6.2f}ms best "
             f"({row['speedup_best']:.1f}x) | modes {row['modes']}"
-        )
-    for row in counter["rows"]:
-        print(
-            f"counter bits={row['bits']:>2} (trip@{row['trip_budget']}): "
-            f"full {row['full_solve_s'] * 1e3:8.2f}ms | "
-            f"resume {row['resume_s'] * 1e3:8.2f}ms "
-            f"({row['resume_pops']} pops)"
         )
     if failed:
         raise SystemExit(

@@ -15,7 +15,7 @@ The package implements the paper's model and results as runnable code:
   (non-emptiness, validation, equivalence per class).
 * :mod:`repro.guard` — the resource governor (deadlines, step budgets,
   memory ceilings, cancellation) every bounded procedure checkpoints
-  against, plus deterministic fault injection and the batch front-end.
+  against, plus deterministic fault injection.
 * :mod:`repro.mediator` — SWS mediators (Definition 5.1) and the
   composition-synthesis procedures of Table 2.
 * :mod:`repro.models` — the Roman and peer models and the Section 3
@@ -35,7 +35,7 @@ Quickstart::
 
 from repro.core import SWS, SWSClass, SWSKind, SynthesisRule, TransitionRule, classify
 from repro.data import Database, InputSequence, Relation, RelationSchema
-from repro.guard import Budget, CancelToken, Guard, batch_run
+from repro.guard import Budget, CancelToken, Guard
 
 __version__ = "1.0.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "SWSKind",
     "SynthesisRule",
     "TransitionRule",
-    "batch_run",
     "classify",
     "__version__",
 ]

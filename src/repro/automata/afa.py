@@ -328,7 +328,6 @@ def generic_search(
     accepting: bool | None,
     initial: Callable[[int], bool],
     ckpt: Callable[..., None],
-    seed: tuple[dict, Iterable[int]] | None = None,
 ) -> tuple[dict, int | None, int]:
     """Interpreted BFS over parameterized transition rows.
 
@@ -338,24 +337,10 @@ def generic_search(
     sweep) but taking the per-class row callables as data instead of
     code-generating the loop body.  :mod:`repro.delta` uses it to re-check
     an edited automaton over *patched* rows without paying searcher
-    codegen, and to resume a budget-tripped search: ``seed`` supplies a
-    previously captured ``(parents, frontier)`` so exploration continues
-    from the surviving frontier instead of the start vector.  Seeded nodes
-    were already tested at their original insertion, so only newly
-    discovered vectors are tested here — identical to what the generated
-    search would have done had it not tripped.
+    codegen.
     """
-    if seed is None:
-        parents: dict = {start: None}
-        queue = deque((start,))
-    else:
-        parents, frontier = seed
-        # A deque seed is adopted in place (not copied) so the caller's
-        # reference tracks the live frontier across a guard trip.
-        queue = frontier if isinstance(frontier, deque) else deque(frontier)
-        if not parents:
-            parents[start] = None
-            queue.append(start)
+    parents: dict = {start: None}
+    queue = deque((start,))
     n = 0
     append = queue.append
     popleft = queue.popleft
@@ -364,14 +349,7 @@ def generic_search(
         v = popleft()
         n += 1
         if not n & 255:
-            try:
-                ckpt(n, queue, parents)
-            except BaseException:
-                # A guard trip between pop and expansion would silently
-                # lose v's expansions; requeue it so a seeded resume
-                # from (parents, queue) is complete.
-                queue.appendleft(v)
-                raise
+            ckpt(n, queue, parents)
         for idx, row in rows:
             nxt = row(v)
             if nxt not in parents:

@@ -7,10 +7,10 @@ what the *service* costs:
 
 * :mod:`repro.delta.diff` — structural deltas from per-state
   sub-fingerprint Merkle trees (:func:`repro.serve.fingerprint.sub_fingerprints`).
-* :mod:`repro.delta.snapshot` — :class:`SearchState`: the reusable
-  remains of a solve, each component tagged with its supporting states.
-* :mod:`repro.delta.engine` — the re-check itself: cached / resume /
-  replay / warm / full, cheapest sound mode first.
+* :mod:`repro.delta.snapshot` — :class:`SearchState`: what a solve
+  leaves for the next re-check (the version's identity and its answer).
+* :mod:`repro.delta.engine` — the re-check itself: cached / replay /
+  warm / full, cheapest sound mode first.
 * :mod:`repro.delta.session` — :class:`Session`: ``open → edit →
   recheck``, wired into the serve cache and the store's
   ``search_states`` table.
@@ -23,13 +23,12 @@ See ``docs/INCREMENTAL.md`` for the soundness argument per mode.
 from repro.delta.diff import InstanceDelta, affected_cone, compute_delta
 from repro.delta.engine import DeltaError, RecheckResult, SUPPORTED_PROCEDURES
 from repro.delta.session import Session
-from repro.delta.snapshot import SNAPSHOT_COMPONENTS, SearchState
+from repro.delta.snapshot import SearchState
 
 __all__ = [
     "DeltaError",
     "InstanceDelta",
     "RecheckResult",
-    "SNAPSHOT_COMPONENTS",
     "SUPPORTED_PROCEDURES",
     "SearchState",
     "Session",

@@ -12,13 +12,13 @@ the edit, not to the service.
 The delta classifies an edit for :mod:`repro.delta.engine`:
 
 * ``is_empty`` — semantically identical (rename-only edits land here:
-  ``name`` is a label, not structure); nothing to invalidate.
+  ``name`` is a label, not structure); a decided answer stands.
 * ``is_local`` — same state set, start, and input variables; only the
-  rules of ``changed_states`` differ.  The AFA layout is stable, so
-  derived state whose support avoids the changed states survives.
+  rules of ``changed_states`` differ.  The AFA layout is stable, so the
+  compiled rows of every other state carry over.
 * otherwise *global* — states were added/removed, the start moved, the
-  input alphabet grew, or schema-level fields changed; every derived
-  row is invalidated and the engine falls back to a full re-solve.
+  input alphabet grew, or schema-level fields changed; no compiled row
+  carries over and the engine falls back to a full re-solve.
 """
 
 from __future__ import annotations
@@ -58,23 +58,6 @@ class InstanceDelta:
             and not self.added_states
             and not self.removed_states
         )
-
-    def invalidates(self, support: frozenset[str] | None) -> bool:
-        """Whether derived state tagged with ``support`` must be dropped.
-
-        ``support`` is the set of SWS states a piece of derived state
-        depends on; ``None`` means "all of them" (global support).  An
-        empty delta invalidates nothing; a non-local delta invalidates
-        everything; a local delta invalidates exactly the state whose
-        support intersects the changed states.
-        """
-        if self.is_empty:
-            return False
-        if not self.is_local:
-            return True
-        if support is None:
-            return True
-        return bool(support & self.changed_states)
 
     def as_dict(self) -> dict:
         return {

@@ -85,8 +85,7 @@ class Session:
         """The initial (or current-version) answer, solving if needed.
 
         Tries, in order: the in-session snapshot, a persisted snapshot
-        from the store, the answer cache, then a fresh solve (which
-        captures a snapshot through the guard checkpoints).
+        from the store, the answer cache, then a fresh solve.
         """
         if self.state is not None and self.state.answer is not None:
             return self.state.answer
@@ -98,7 +97,9 @@ class Session:
         cached = self._cache_get()
         if cached is not None:
             if self.state is None:
-                self.state = self._state_for_answer(cached)
+                self.state = SearchState(
+                    self.procedure, self.fingerprint, self.tree.root, cached
+                )
             return cached
         self.state, answer = solve_fresh(
             self.procedure_fn,
@@ -195,18 +196,6 @@ class Session:
             return self.cache.get(self.fingerprint, self.procedure)
         except Exception:  # noqa: BLE001
             return None
-
-    def _state_for_answer(self, answer: Any) -> SearchState:
-        return SearchState(
-            procedure=self.procedure,
-            fingerprint=self.fingerprint,
-            root=self.tree.root,
-            state_digests=dict(self.tree.states),
-            answer=answer,
-            witness=tuple(answer.witness)
-            if getattr(answer, "witness", None) is not None
-            else None,
-        )
 
     # -- reporting ---------------------------------------------------------------
 

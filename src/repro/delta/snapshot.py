@@ -1,45 +1,24 @@
-"""Reusable search state captured from one solve of one instance.
+"""The snapshot one solve of one instance leaves for the next re-check.
 
-A :class:`SearchState` is everything the delta engine can reuse on the
-next re-check of an edited version, tagged component by component with
-its *support* — the set of SWS states the component depends on.  On an
-edit, :meth:`surviving_components` keeps exactly the components whose
-support avoids the delta:
+A :class:`SearchState` is the identity of the solved version (procedure,
+job fingerprint, sub-fingerprint root) plus its answer.  The engine
+reads only these: the root decides whether an edit is empty, and a YES
+answer's witness is what a replay re-validates.  Row reuse needs no
+snapshot tag: one AFA transition-row bit depends on exactly one SWS
+state's rules, so :attr:`repro.delta.diff.InstanceDelta.changed_states`
+already says which compiled rows
+:func:`repro.automata.afa.patch_engine` keeps.
 
-* ``answer`` / ``reached`` / ``frontier`` — global support (``None``):
-  the reachable-vector set is a whole-instance property, so these
-  survive only an empty delta (identical or rename-only versions).
-  A tripped search's ``reached``/``frontier`` seed the *resume* path.
-* ``witness`` — also globally supported, but unlike the others it can
-  be *re-validated* in O(|witness|) against the edited automaton, so
-  the engine replays it rather than discarding it.
-* ``rows`` — per-state support: one AFA transition-row bit depends on
-  exactly one SWS state's rules, so after a local edit every clean
-  state's compiled row bits are reused verbatim
-  (:func:`repro.automata.afa.patch_engine`).
-* ``quotient`` — the symbol-class quotient, supported by all states but
-  cheap to *refine* instead of recompute: classes split only where the
-  changed states' formulas disagree.
-* ``clauses`` — the SAT clause set of the nonrecursive PL path, global
-  support (clause reuse across edits is future work; tracked here so
-  invalidation is explicit rather than implicit).
-
-The snapshot itself holds only picklable data (masks, names, digests) —
-compiled row closures live in the owning session's process and are
-rebuilt via ``patch_engine`` after a cold load.
+The snapshot holds only picklable data; compiled row closures live in
+the owning session's process and are rebuilt after a cold load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.delta.diff import InstanceDelta
-
-__all__ = ["SearchState", "SNAPSHOT_COMPONENTS"]
-
-#: Component names, in invalidation-report order.
-SNAPSHOT_COMPONENTS = ("answer", "witness", "reached", "frontier", "rows", "quotient", "clauses")
+__all__ = ["SearchState"]
 
 
 @dataclass
@@ -49,61 +28,14 @@ class SearchState:
     procedure: str
     fingerprint: str
     root: str
-    state_digests: dict[str, str]
     answer: Any = None
-    witness: tuple | None = None
-    #: Reached-vector parent links (mask → (class index, predecessor) or
-    #: ``None`` for the start vector); ``None`` when not snapshotted.
-    parents: dict[int, tuple | None] | None = None
-    frontier: tuple[int, ...] = ()
-    order: tuple[str, ...] = ()
-    pops: int = 0
-    support: dict[str, frozenset[str] | None] = field(default_factory=dict)
-    clauses: Any = None
-
-    def __post_init__(self) -> None:
-        if not self.support:
-            self.support = self.default_support()
-
-    def default_support(self) -> dict[str, frozenset[str] | None]:
-        """Global support everywhere except the per-state row tags."""
-        support: dict[str, frozenset[str] | None] = {
-            name: None for name in SNAPSHOT_COMPONENTS
-        }
-        # One row bit per AFA pair state; the pair of SWS state q is
-        # supported by q alone (successors enter as names, not rules).
-        support["rows"] = frozenset(self.state_digests)
-        return support
-
-    def surviving_components(self, delta: InstanceDelta) -> frozenset[str]:
-        """Component names whose support does not intersect ``delta``.
-
-        For the per-state ``rows`` component, survival is partial — the
-        component survives when *any* state's rows survive; the engine
-        consults ``delta.changed_states`` for the per-row mask.
-        """
-        surviving = set()
-        for name in SNAPSHOT_COMPONENTS:
-            support = self.support.get(name)
-            if name == "rows" and delta.is_local:
-                clean = (support or frozenset()) - delta.changed_states
-                if clean:
-                    surviving.add(name)
-                continue
-            if not delta.invalidates(support):
-                surviving.add(name)
-        return frozenset(surviving)
 
     def meta(self) -> dict:
         """JSON-friendly summary for store rows and CLI output."""
         return {
             "procedure": self.procedure,
             "root": self.root,
-            "states": len(self.state_digests),
-            "reached": len(self.parents or ()),
-            "frontier": len(self.frontier),
-            "pops": self.pops,
-            "has_witness": self.witness is not None,
+            "has_witness": getattr(self.answer, "witness", None) is not None,
             "verdict": getattr(
                 getattr(self.answer, "verdict", None), "value", None
             ),

@@ -12,7 +12,6 @@ Public surface:
 * :data:`GUARDED_SPANS` / :func:`iter_guarded_spans` — registry of every
   checkpoint site (span names shared with :mod:`repro.obs`).
 * :mod:`repro.guard.inject` — deterministic fault injection by span name.
-* :func:`batch_run` — per-instance isolation for workload sweeps.
 
 See ``docs/ROBUSTNESS.md`` for the checkpoint placement map and usage.
 """
@@ -26,7 +25,6 @@ from repro.guard._governor import (
     GuardedSpan,
     GuardTrip,
     Trip,
-    capture_search_state,
     checkpoint,
     checkpoint_callable,
     current_guard,
@@ -34,9 +32,7 @@ from repro.guard._governor import (
     guarded,
     iter_guarded_spans,
     register_span,
-    snapshot_sink,
 )
-from repro.guard.batch import BatchItem, BatchReport, batch_run
 
 __all__ = [
     "Budget",
@@ -47,10 +43,6 @@ __all__ = [
     "GUARDED_SPANS",
     "LIMITS",
     "Trip",
-    "BatchItem",
-    "BatchReport",
-    "batch_run",
-    "capture_search_state",
     "checkpoint",
     "checkpoint_callable",
     "current_guard",
@@ -58,5 +50,4 @@ __all__ = [
     "guarded",
     "iter_guarded_spans",
     "register_span",
-    "snapshot_sink",
 ]

@@ -394,36 +394,6 @@ _INJECT_HOOK: Callable[[str], None] | None = None
 _PROGRESS: Any | None = None
 
 
-def snapshot_sink() -> Callable[..., None] | None:
-    """The thread-ambient search-state sink, or ``None`` (the default)."""
-    return getattr(_local, "snapshot_sink", None)
-
-
-class capture_search_state:
-    """Context manager installing a search-state *sink* for this thread.
-
-    While active, the checkpoint closures handed to the compiled BFS
-    loops call ``sink(site, n, queue, visited)`` with the *live* queue
-    and parents objects before consulting the guards.  A sink that
-    simply holds the references therefore sees the loop's final state —
-    whether the search completes or a guard trips mid-way — which is
-    what :mod:`repro.delta` snapshots to resume a budget-tripped search
-    instead of restarting it.
-    """
-
-    def __init__(self, sink: Callable[..., None]) -> None:
-        self._sink = sink
-        self._prev: Callable[..., None] | None = None
-
-    def __enter__(self) -> "capture_search_state":
-        self._prev = getattr(_local, "snapshot_sink", None)
-        _local.snapshot_sink = self._sink
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        _local.snapshot_sink = self._prev
-
-
 def _stack() -> list[Guard]:
     stack = getattr(_local, "stack", None)
     if stack is None:
@@ -495,7 +465,6 @@ def checkpoint_callable(site: str) -> Callable[..., None]:
         _INJECT_HOOK is None
         and _PROGRESS is None
         and not getattr(_local, "stack", None)
-        and getattr(_local, "snapshot_sink", None) is None
     ):
         return _noop_checkpoint
     last = 0
@@ -509,10 +478,6 @@ def checkpoint_callable(site: str) -> Callable[..., None]:
         nonlocal last
         delta = n - last
         last = n
-        sink = getattr(_local, "snapshot_sink", None)
-        if sink is not None:
-            # Before the guards: a trip must not lose the captured refs.
-            sink(site, n, queue, visited)
         checkpoint(
             site,
             delta,

@@ -18,10 +18,9 @@ Subcommands:
 * ``procedures`` — list the registered decision procedures.
 * ``fingerprint JOBS.jsonl`` — print each job's fingerprint without
   running anything (what the cache would key on).
-* ``store stats|vacuum|import`` — inspect and maintain the SQLite
-  answer + artifact store behind a cache directory (``stats`` prints a
-  JSON summary; ``vacuum`` compacts the file; ``import`` folds a legacy
-  JSONL answer file in, ``--replace`` letting its records win).
+* ``store stats|vacuum`` — inspect and maintain the SQLite answer +
+  artifact store behind a cache directory (``stats`` prints a JSON
+  summary; ``vacuum`` compacts the file).
 * ``top [METRICS.jsonl]`` — live dashboard over the snapshot file a
   metrics-enabled batch exports (``run --metrics`` or
   ``REPRO_METRICS``): throughput, queue depth, worker utilization,
@@ -452,16 +451,6 @@ def _cmd_store_vacuum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store_import(args: argparse.Namespace) -> int:
-    os.makedirs(args.cache_dir, exist_ok=True)
-    path = os.path.join(args.cache_dir, f"{args.namespace}.sqlite3")
-    with Store(path) as store:
-        imported = store.import_jsonl(args.jsonl, replace=args.replace)
-        total = store.answer_count()
-    print(f"imported {imported} records from {args.jsonl}; store holds {total}")
-    return 0
-
-
 def _cmd_dlq_list(args: argparse.Namespace) -> int:
     with _open_store(args) as store:
         records = store.list_dlq()
@@ -660,16 +649,6 @@ def main(argv: list[str] | None = None) -> int:
     vac = store_sub.add_parser("vacuum", help="compact the store file")
     _store_common(vac)
     vac.set_defaults(func=_cmd_store_vacuum)
-
-    imp = store_sub.add_parser("import", help="import a legacy JSONL answer file")
-    _store_common(imp)
-    imp.add_argument("jsonl", help="legacy JSONL answer file")
-    imp.add_argument(
-        "--replace",
-        action="store_true",
-        help="imported records replace existing store rows",
-    )
-    imp.set_defaults(func=_cmd_store_import)
 
     dlq = sub.add_parser("dlq", help="inspect/re-run/purge the dead-letter queue")
     dlq_sub = dlq.add_subparsers(dest="dlq_command", required=True)

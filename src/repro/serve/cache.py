@@ -121,29 +121,7 @@ class AnswerCache:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
             self.store = Store(os.path.join(directory, f"{namespace}.sqlite3"))
-            self._migrate_legacy_jsonl(
-                os.path.join(directory, f"{namespace}.jsonl")
-            )
             self.stats.disk_loaded = self.store.answer_count()
-
-    def _migrate_legacy_jsonl(self, legacy_path: str) -> None:
-        """One-time import of a pre-store JSONL tier sharing the directory.
-
-        Keyed on the file's (mtime, size) so an unchanged file is not
-        re-read on every open, while a file extended by an old-version
-        writer is picked up again.  Store rows win over imported ones —
-        they are the newer generation.
-        """
-        assert self.store is not None
-        if not os.path.exists(legacy_path):
-            return
-        stat = os.stat(legacy_path)
-        marker = f"{stat.st_mtime_ns}:{stat.st_size}"
-        meta_key = f"imported-jsonl:{os.path.basename(legacy_path)}"
-        if self.store.get_meta(meta_key) == marker:
-            return
-        self.store.import_jsonl(legacy_path)
-        self.store.set_meta(meta_key, marker)
 
     # -- the two tiers -----------------------------------------------------------
 

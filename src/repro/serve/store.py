@@ -26,15 +26,10 @@ Besides decided answers the store persists *derived artifacts* —
 compiled AFA searcher source, symbol-class quotients, UCQ expansions —
 published through the :mod:`repro.artifacts` hook, so a cold process
 warm-starts from what earlier runs already derived.
-
-Legacy ``answers.jsonl`` files migrate via :meth:`Store.import_jsonl`
-(the cache calls it automatically on open; re-imports only when the
-file changes, and existing store rows win over imported ones).
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 import pickle
@@ -597,56 +592,6 @@ class Store:
                 (key, value),
             )
         )
-
-    def import_jsonl(self, path: str, *, replace: bool = False) -> int:
-        """Import a legacy JSONL answer file; returns records imported.
-
-        Unreadable lines and records without a pickle payload are
-        skipped (the JSONL tier always tolerated garbage).  By default
-        existing store rows win (``INSERT OR IGNORE``) — the store is
-        the newer generation; ``replace=True`` inverts that for
-        explicit CLI re-imports.
-        """
-        if not os.path.exists(path):
-            return 0
-        conn = self._connection()
-        action = "REPLACE" if replace else "IGNORE"
-        imported = 0
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                key = record.get("key")
-                encoded = record.get("pickle")
-                if not isinstance(key, str) or not isinstance(encoded, str):
-                    continue
-                try:
-                    payload = base64.b64decode(encoded)
-                    pickle.loads(payload)  # refuse records that cannot load
-                except Exception:  # noqa: BLE001
-                    continue
-                cursor = self._retry(
-                    lambda k=key, p=payload, r=record: conn.execute(
-                        f"INSERT OR {action} INTO answers "
-                        "(fingerprint, procedure, verdict, detail, payload, updated_s) "
-                        "VALUES (?, ?, ?, ?, ?, ?)",
-                        (
-                            k,
-                            r.get("procedure"),
-                            r.get("verdict"),
-                            r.get("detail"),
-                            p,
-                            time.time(),
-                        ),
-                    )
-                )
-                imported += cursor.rowcount if cursor.rowcount > 0 else 0
-        return imported
 
     def stats(self) -> dict[str, Any]:
         """Counts, schema version, pragmas, and file size — JSON-friendly."""

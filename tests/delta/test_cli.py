@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +30,21 @@ def test_diff_json_records_parse(capsys):
     record = json.loads(line)
     assert record["alphabet_changed"] is True
     assert record["step"] == 1
+
+
+def test_module_entry_point_runs_diff():
+    """The ``python -m`` entry point itself, in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.delta", "diff", "--trace", GROW, "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.strip().splitlines()
+    assert json.loads(line)["alphabet_changed"] is True
 
 
 def test_replay_menu_is_fully_incremental(capsys):

@@ -56,8 +56,6 @@ class TestComputeDelta:
         sws = random_pl_sws(7)
         delta = compute_delta(sws, sws)
         assert delta.is_empty and not delta.is_local
-        assert not delta.invalidates(None)
-        assert not delta.invalidates(frozenset(sws.states))
 
     def test_rename_only_is_empty(self):
         base, renamed = rename_trace(steps=1)[:2]
@@ -68,10 +66,6 @@ class TestComputeDelta:
         delta = compute_delta(base, edited)
         assert delta.is_local and not delta.is_empty
         assert len(delta.changed_states) == 1
-        (state,) = delta.changed_states
-        assert delta.invalidates(frozenset({state}))
-        assert delta.invalidates(None)  # global support
-        assert not delta.invalidates(frozenset(base.states) - {state})
 
     def test_added_and_removed_states_are_global(self):
         short = word_service(["a", HASH], "ab")
@@ -79,7 +73,6 @@ class TestComputeDelta:
         delta = compute_delta(short, long)
         assert not delta.is_local and not delta.is_empty
         assert delta.added_states
-        assert delta.invalidates(frozenset({"w0"}))
         reverse = compute_delta(long, short)
         assert reverse.removed_states == delta.added_states
 

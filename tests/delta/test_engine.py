@@ -9,6 +9,7 @@ from repro.automata.afa import patch_engine
 from repro.core.pl_semantics import pair_states, to_afa, to_afa_incremental
 from repro.core.run import run_pl
 from repro.delta import DeltaError, Session, compute_delta
+from repro.guard import CancelToken, Guard
 from repro.workloads.editing import (
     flip_trace,
     growing_trace,
@@ -51,11 +52,6 @@ class TestRecheckModes:
             assert result.mode == "cached"
             assert result.delta.is_empty
             assert result.answer is first
-            # Every snapshot component survives a rename.
-            assert set(result.surviving) == {
-                "answer", "witness", "reached", "frontier",
-                "rows", "quotient", "clauses",
-            }
 
     def test_yes_to_no_flip_is_sound(self):
         """A stale YES frontier must not leak into the dead version."""
@@ -70,6 +66,21 @@ class TestRecheckModes:
         yes = session.recheck()
         assert yes.answer.is_yes
         assert run_pl(back, list(yes.answer.witness)).output
+
+    def test_warm_search_honours_the_recheck_budget(self):
+        base, dead, _ = flip_trace()
+        session = Session(base)
+        session.check()
+        session.edit(dead)
+        token = CancelToken()
+        token.cancel()
+        result = session.recheck(budget=Guard(cancel_token=token))
+        assert result.mode == "warm"
+        assert result.answer.is_unknown
+        assert result.answer.trip.site == "delta.recheck"
+        # The UNKNOWN is not cached: the next re-check decides in full.
+        again = session.recheck()
+        assert again.mode == "full" and again.answer.is_no
 
     def test_alphabet_growth_forces_full_resolve(self):
         base, grown = growing_trace()
@@ -93,28 +104,21 @@ class TestRecheckModes:
         assert result.mode == "full"
         assert result.answer.is_yes
 
-    def test_resume_continues_a_tripped_search(self):
+    def test_tripped_search_is_resolved_in_full_then_cached(self):
         # Guards only check at the every-256-pop checkpoints, so the
         # counter must be big enough to reach one before finishing.
         bits = 10
         sws = pl_counter_sws(bits)
         session = Session(sws, budget=30)  # trips at the first checkpoint
-        first = session.check()
-        assert first.is_unknown
+        assert session.check().is_unknown
         result = session.recheck(budget=10**8)
-        assert result.mode == "resume"
+        assert result.mode == "full"
         assert result.answer.is_yes
         # The counter's unique witness; run_pl replay is skipped here
         # because forward simulation of the counter is exponential.
         assert len(result.answer.witness) == 2**bits
-
-    def test_recheck_after_resume_is_decided_and_cached(self):
-        sws = pl_counter_sws(9)
-        session = Session(sws, budget=5)
-        assert session.check().is_unknown
-        assert session.recheck(budget=10**8).answer.is_yes
         again = session.recheck()
-        assert again.mode == "cached" and again.answer.is_yes
+        assert again.mode == "cached" and again.answer is result.answer
 
 
 class TestValidate:

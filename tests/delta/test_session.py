@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import nonempty_pl
-from repro.delta import Session
+from repro.delta import SearchState, Session
 from repro.serve.cache import AnswerCache
 from repro.serve.fingerprint import job_fingerprint
 from repro.serve.scheduler import SolverService
@@ -51,6 +51,34 @@ class TestPersistence:
         answer = reopened.check()
         assert answer is not None and answer.is_yes
         assert reopened.state is not None
+        reopened.edit(trace[1])
+        result = reopened.recheck()
+        assert result.mode in ("replay", "warm")
+        assert result.answer.verdict is nonempty_pl(trace[1]).verdict
+
+    def test_snapshot_pickled_with_older_fields_still_reopens(self, cache):
+        """A ``search_states`` row from a layout with more snapshot fields."""
+        trace = menu_editing_trace(edits=1)
+        first = Session(trace[0], cache=cache)
+        answer = first.check()
+        # Unpickling restores the instance dict as written, extra fields
+        # included; build the same object the older layout pickled.
+        old = SearchState.__new__(SearchState)
+        old.__dict__.update(
+            vars(first.state),
+            state_digests=dict(first.tree.states),
+            witness=tuple(answer.witness),
+            parents={1: None},
+            frontier=(1,),
+            order=(),
+            pops=1,
+            support={"rows": frozenset(first.tree.states)},
+            clauses=None,
+        )
+        assert cache.store.put_search_state("nonempty_pl", first.fingerprint, old)
+        reopened = Session(trace[0], cache=cache)
+        assert reopened.check().is_yes
+        assert reopened.state.root == first.tree.root
         reopened.edit(trace[1])
         result = reopened.recheck()
         assert result.mode in ("replay", "warm")

@@ -159,19 +159,8 @@ def test_store_stats_vacuum_import_commands(tmp_path, jobs_file, capsys):
     assert "afa.quotient" in stats["artifacts"]
 
     assert main(["store", "vacuum", cache_dir]) == 0
-
-    # Importing a legacy JSONL file adds its records to the store.
-    from repro.analysis.verdict import Answer
-
-    legacy = tmp_path / "legacy.jsonl"
-    payload = base64.b64encode(pickle.dumps(Answer.yes(detail="legacy")))
-    legacy.write_text(
-        json.dumps({"key": "legacy-k", "pickle": payload.decode("ascii")}) + "\n"
-    )
-    assert main(["store", "import", cache_dir, str(legacy)]) == 0
-    assert "imported 1" in capsys.readouterr().out
     assert main(["store", "stats", cache_dir]) == 0
-    assert json.loads(capsys.readouterr().out)["answers"] == 2
+    assert json.loads(capsys.readouterr().out)["answers"] == 1
 
 
 def test_store_stats_missing_store_errors(tmp_path):
