@@ -20,7 +20,7 @@ pip install -e . 2>/dev/null || python setup.py develop
 
 if [[ "${RUN_ALL}" -eq 1 ]]; then
     echo "== tests (full) =="
-    python -m pytest tests/
+    python -m pytest tests/ -m "not smoke"
 
     echo "== benchmarks =="
     python -m pytest benchmarks/ --benchmark-only
@@ -32,7 +32,7 @@ if [[ "${RUN_ALL}" -eq 1 ]]; then
     done
 else
     echo "== tests (fast tier; use --all for the full sweep) =="
-    python -m pytest tests/ -m "not slow"
+    python -m pytest tests/ -m "not slow and not smoke"
 fi
 
 echo "== obs smoke (traced analysis + report CLI) =="
@@ -309,49 +309,7 @@ python -m repro.obs flame "${INTROSPECT_DIR}/introspect.collapsed" \
     -o "${INTROSPECT_DIR}/introspect.html" > /dev/null
 test -s "${INTROSPECT_DIR}/introspect.html"
 
-echo "== profiler-overhead guard (disabled-mode solves stay in bounds) =="
-# With the profiler and progress telemetry OFF (the default), fresh
-# guarded solves must still clear the committed perf tripwire bounds —
-# the telemetry hooks may not tax the disabled path.
-REPRO_INTROSPECT_DIR="${INTROSPECT_DIR}" python - <<'PY'
-import os
-
-from repro import obs
-from repro.analysis import (
-    equivalent_cq_nr,
-    equivalent_fo_bounded,
-    nonempty_cq_nr,
-    nonempty_fo_bounded,
-    nonempty_pl,
-    nonempty_pl_nr_sat,
-)
-from repro.obs import profile, progress
-from repro.reductions.sat_to_sws import clauses_from_tuples, cnf_to_sws
-from repro.workloads import travel
-from repro.workloads.scaling import cq_diamond_sws, pl_counter_sws, random_3cnf
-
-assert not profile.is_enabled() and not progress.is_enabled()
-trace = os.path.join(os.environ["REPRO_INTROSPECT_DIR"], "overhead.trace.jsonl")
-obs.configure(path=trace, mode="w")
-try:
-    for bits in (8, 9, 10):
-        assert nonempty_pl(pl_counter_sws(bits)).is_yes
-    for seed in (0, 1):
-        sws = cnf_to_sws(clauses_from_tuples(random_3cnf(seed, 8, 24)))
-        nonempty_pl_nr_sat(sws)
-    # The relational-* bounds: expansion procedures and bounded FO searches.
-    for depth in (2, 3):
-        assert nonempty_cq_nr(cq_diamond_sws(depth)).is_yes
-    assert equivalent_cq_nr(cq_diamond_sws(2), cq_diamond_sws(2)).is_yes
-    tau1, tau2 = travel.travel_service(), travel.recursive_airfare_service()
-    assert not nonempty_fo_bounded(tau1, max_session_length=1, budget=2000).is_no
-    assert not equivalent_fo_bounded(
-        tau1, tau2, max_domain=1, max_rows=1, max_session_length=1, budget=2000
-    ).is_yes
-finally:
-    obs.configure(enabled=False)
-PY
-python -m repro.obs check --baseline benchmarks/baselines.json \
-    --trace "${INTROSPECT_DIR}/overhead.trace.jsonl"
+echo "== smoke tests (profiler-overhead guard) =="
+python -m pytest tests/ -m smoke
 
 echo "all green"

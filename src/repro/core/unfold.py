@@ -77,7 +77,9 @@ def expand(sws: SWS, session_length: int) -> UnionQuery:
     if session_length < 0:
         raise AnalysisError("session_length must be non-negative")
     payload_arity = sws.input_schema.arity if sws.input_schema else 0
-    factory = FreshVariableFactory()
+    # The rule queries keep their own variable names through composition;
+    # fresh names must not capture them.
+    factory = FreshVariableFactory(_rule_variables(sws))
     n = session_length
 
     def in_definition(j: int) -> UnionQuery:
@@ -90,19 +92,25 @@ def expand(sws: SWS, session_length: int) -> UnionQuery:
         return UnionQuery.of(identity)
 
     def guard(result: UnionQuery, msg_def: UnionQuery) -> UnionQuery:
-        """Conjoin "the message register is nonempty" to every disjunct."""
+        """Conjoin "the message register is nonempty" to every disjunct.
+
+        Both sides are normal forms from composition, and the renamed-apart
+        witness shares no variable with the disjunct, so the conjunction is
+        normal and satisfiable as it stands.
+        """
         guarded: list[ConjunctiveQuery] = []
         for disjunct in result.disjuncts:
             for witness in msg_def.disjuncts:
                 renamed = witness.rename_apart(factory)
-                candidate = ConjunctiveQuery(
-                    disjunct.head,
-                    disjunct.atoms + renamed.atoms,
-                    disjunct.comparisons + renamed.comparisons,
-                    disjunct.name,
+                guarded.append(
+                    ConjunctiveQuery._trusted(
+                        disjunct.head,
+                        disjunct.atoms + renamed.atoms,
+                        disjunct.comparisons + renamed.comparisons,
+                        disjunct.name,
+                        normal=True,
+                    )
                 )
-                if candidate.is_satisfiable():
-                    guarded.append(candidate)
         return UnionQuery(guarded, arity=result.arity, name=result.name)
 
     def act_query(state: str, j: int, msg_def: UnionQuery) -> UnionQuery:
@@ -137,11 +145,19 @@ def expand(sws: SWS, session_length: int) -> UnionQuery:
 
     root_msg = UnionQuery.empty(payload_arity, name=MSG)
     expansion = act_query(sws.start, 1, root_msg)
-    result = UnionQuery(
-        expansion.disjuncts, arity=sws.output_arity, name=sws.name
-    ).satisfiable_disjuncts()
+    result = UnionQuery(expansion.disjuncts, arity=sws.output_arity, name=sws.name)
     STATS.expansion_disjuncts += len(result.disjuncts)
     return result
+
+
+def _rule_variables(sws: SWS) -> set[Variable]:
+    """Every variable of the service's transition and synthesis queries."""
+    out: set[Variable] = set()
+    queries = [phi for rule in sws.transitions.values() for _target, phi in rule.targets]
+    queries += [rule.query for rule in sws.synthesis.values()]
+    for query in queries:
+        out |= query.variables()
+    return out
 
 
 def saturation_length(sws: SWS) -> int:

@@ -66,8 +66,9 @@ class Atom:
         return frozenset(t for t in self.terms if isinstance(t, Constant))
 
     def rename(self, mapping: Mapping[Variable, Term]) -> "Atom":
-        """Apply a variable renaming/substitution to the atom."""
-        return Atom(self.relation, tuple(_apply(t, mapping) for t in self.terms))
+        """Apply a variable renaming/substitution; the atom itself if no term moves."""
+        terms = tuple([_apply(t, mapping) for t in self.terms])
+        return self if terms == self.terms else Atom(self.relation, terms)
 
     def __str__(self) -> str:
         return f"{self.relation}({', '.join(str(t) for t in self.terms)})"
@@ -108,6 +109,43 @@ def _apply(term: Term, mapping: Mapping[Variable, Term]) -> Term:
     if isinstance(term, Variable):
         return mapping.get(term, term)
     return term
+
+
+def _normal_form(
+    head: Iterable[Term],
+    atoms: Iterable[Atom],
+    inequalities: Iterable[Comparison],
+    mapping: Mapping[Variable, Term],
+    name: str,
+) -> "ConjunctiveQuery | None":
+    """The equality-free query that ``mapping`` makes of the given parts.
+
+    ``mapping`` sends every variable of an equality class to the class's
+    representative, so the result has no ``=`` atom.  Inequalities are
+    deduplicated and those between two constants dropped (they hold);
+    the result is ``None`` when one relates a term to itself.  The caller
+    guarantees that every head and inequality variable left after the
+    mapping occurs in an atom, so the result is built without the safety
+    check.
+    """
+    kept: dict[Comparison, None] = {}
+    for comp in inequalities:
+        left, right = _apply(comp.left, mapping), _apply(comp.right, mapping)
+        if left == right:
+            return None
+        if isinstance(left, Constant) and isinstance(right, Constant):
+            continue
+        if left is comp.left and right is comp.right:
+            kept[comp] = None
+        else:
+            kept[Comparison(left, right, negated=True)] = None
+    return ConjunctiveQuery._trusted(
+        tuple([_apply(t, mapping) for t in head]),
+        tuple([a.rename(mapping) for a in atoms]),
+        tuple(kept),
+        name,
+        normal=True,
+    )
 
 
 @dataclass(frozen=True)
@@ -204,9 +242,42 @@ class ConjunctiveQuery:
         )
 
     def rename_apart(self, factory: FreshVariableFactory) -> "ConjunctiveQuery":
-        """Rename every variable to a fresh one from ``factory``."""
+        """Rename every variable to a fresh one from ``factory``.
+
+        The renaming is injective, so the result is safe, and normal when
+        this query is; it is built without re-checking either.
+        """
         mapping = factory.rename_apart(sorted(self.variables()))
-        return self.rename(mapping)
+        return ConjunctiveQuery._trusted(
+            tuple([_apply(t, mapping) for t in self.head]),
+            tuple([a.rename(mapping) for a in self.atoms]),
+            tuple([c.rename(mapping) for c in self.comparisons]),
+            self.name,
+            normal=self._normal is _SELF,
+        )
+
+    @classmethod
+    def _trusted(
+        cls,
+        head: tuple[Term, ...],
+        atoms: tuple[Atom, ...],
+        comparisons: tuple[Comparison, ...],
+        name: str,
+        normal: bool,
+    ) -> "ConjunctiveQuery":
+        """A query that is safe by construction, built without the check.
+
+        ``normal`` marks it as its own normal form: no ``=`` atom, and
+        only deduplicated inequalities that are neither trivially violated
+        nor between two constants.
+        """
+        query = cls.__new__(cls)
+        query.head, query.atoms, query.comparisons, query.name = (
+            head, atoms, comparisons, name
+        )
+        if normal:
+            query._normal = _SELF
+        return query
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConjunctiveQuery):
@@ -319,25 +390,11 @@ class ConjunctiveQuery:
             for term in cls:
                 if isinstance(term, Variable):
                     mapping[term] = rep
-        new_ineqs: list[Comparison] = []
-        for comp in self.inequalities():
-            left = _apply(comp.left, mapping)
-            right = _apply(comp.right, mapping)
-            if left == right:
-                return None
-            if isinstance(left, Constant) and isinstance(right, Constant):
-                continue  # distinct constants: trivially satisfied
-            new_ineqs.append(Comparison(left, right, negated=True))
-        inequalities = tuple(dict.fromkeys(new_ineqs))
-        if not mapping and inequalities == self.comparisons:
-            return self
-        normal = ConjunctiveQuery(
-            tuple(_apply(t, mapping) for t in self.head),
-            tuple(a.rename(mapping) for a in self.atoms),
-            inequalities,
-            self.name,
+        normal = _normal_form(
+            self.head, self.atoms, self.inequalities(), mapping, self.name
         )
-        normal._normal = _SELF
+        if normal is not None and not mapping and normal.comparisons == self.comparisons:
+            return self
         return normal
 
     def is_satisfiable(self) -> bool:

@@ -12,11 +12,12 @@ and behind the query-rewriting view of composition synthesis (Section 5.2).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+import itertools
+from typing import Iterable, Iterator, Mapping
 
 from repro.data.relation import Relation, Row
 from repro.errors import QueryError
-from repro.logic.cq import Atom, Comparison, ConjunctiveQuery, eq
+from repro.logic.cq import Atom, Comparison, ConjunctiveQuery, _normal_form
 from repro.logic.terms import FreshVariableFactory, Term, Variable
 
 
@@ -163,49 +164,22 @@ def compose(
     """Unfold derived-relation atoms of ``query`` by their definitions.
 
     Every atom over a relation in ``definitions`` is replaced by the body of
-    one of the defining UCQ's disjuncts (renamed apart), with the defining
-    head equated to the atom's terms; the cross product over all choices
-    yields a UCQ.  Atoms over other relations are kept as-is.
+    one of the defining UCQ's disjuncts (renamed apart); the cross product
+    over all choices yields a UCQ.  Atoms over other relations are kept
+    as-is.  Composition works on normal forms: each choice unifies the
+    atoms' terms with the renamed heads, and the unifier is applied
+    directly, so every disjunct comes out equality-free and normal.  A
+    choice is dropped when the unifier equates two distinct constants or
+    makes an inequality relate a term to itself.
 
     This is classical query composition: the result is equivalent to
     evaluating ``query`` on a database where every derived relation holds
     the answer of its definition.
     """
     factory = factory or FreshVariableFactory(sorted(query.variables()))
-    choice_lists: list[list[tuple[list[Atom], list[Comparison]]]] = []
-    for atom in query.atoms:
-        if atom.relation not in definitions:
-            choice_lists.append([([atom], [])])
-            continue
-        definition = definitions[atom.relation]
-        if definition.arity != len(atom.terms):
-            raise QueryError(
-                f"definition of {atom.relation!r} has arity {definition.arity}, "
-                f"atom uses {len(atom.terms)}"
-            )
-        expansions: list[tuple[list[Atom], list[Comparison]]] = []
-        for disjunct in definition.disjuncts:
-            renamed = disjunct.rename_apart(factory)
-            bindings = [
-                eq(atom_term, head_term)
-                for atom_term, head_term in zip(atom.terms, renamed.head)
-            ]
-            expansions.append(
-                (list(renamed.atoms), list(renamed.comparisons) + bindings)
-            )
-        choice_lists.append(expansions)
-
-    disjuncts: list[ConjunctiveQuery] = []
-    for combo in _product(choice_lists):
-        atoms: list[Atom] = []
-        comparisons: list[Comparison] = list(query.comparisons)
-        for atom_part, comp_part in combo:
-            atoms.extend(atom_part)
-            comparisons.extend(comp_part)
-        candidate = ConjunctiveQuery(query.head, atoms, comparisons, query.name)
-        if candidate.is_satisfiable():
-            disjuncts.append(candidate)
-    return UnionQuery(disjuncts, arity=query.arity, name=query.name)
+    return UnionQuery(
+        _compose(query, definitions, factory), arity=query.arity, name=query.name
+    )
 
 
 def compose_union(
@@ -215,19 +189,91 @@ def compose_union(
 ) -> UnionQuery:
     """Unfold every disjunct of a UCQ (see :func:`compose`)."""
     factory = factory or FreshVariableFactory(sorted(query.variables()))
-    result = UnionQuery.empty(query.arity, name=query.name)
+    disjuncts: list[ConjunctiveQuery] = []
     for disjunct in query.disjuncts:
-        result = result.union(compose(disjunct, definitions, factory))
-    return result
+        disjuncts.extend(_compose(disjunct, definitions, factory))
+    return UnionQuery(disjuncts, arity=query.arity, name=query.name)
 
 
-def _product(
-    choice_lists: Sequence[Sequence[tuple[list[Atom], list[Comparison]]]],
-) -> Iterator[tuple[tuple[list[Atom], list[Comparison]], ...]]:
-    if not choice_lists:
-        yield ()
-        return
-    head, *rest = choice_lists
-    for choice in head:
-        for tail in _product(rest):
-            yield (choice,) + tail
+#: One way to unfold an atom: (atom term, head term) pairs to unify, and
+#: the atoms and inequalities the choice contributes.
+_Choice = tuple[
+    tuple[tuple[Term, Term], ...], tuple[Atom, ...], tuple[Comparison, ...]
+]
+
+
+def _compose(
+    query: ConjunctiveQuery,
+    definitions: Mapping[str, UnionQuery],
+    factory: FreshVariableFactory,
+) -> list[ConjunctiveQuery]:
+    normal = query.normalized()
+    if normal is None:
+        return []
+    choice_lists: list[list[_Choice]] = []
+    for atom in normal.atoms:
+        if atom.relation not in definitions:
+            choice_lists.append([((), (atom,), ())])
+            continue
+        definition = definitions[atom.relation]
+        if definition.arity != len(atom.terms):
+            raise QueryError(
+                f"definition of {atom.relation!r} has arity {definition.arity}, "
+                f"atom uses {len(atom.terms)}"
+            )
+        choices: list[_Choice] = []
+        for disjunct in definition.disjuncts:
+            disjunct = disjunct.normalized()
+            if disjunct is None:
+                continue
+            renamed = disjunct.rename_apart(factory)
+            pairs = tuple(zip(atom.terms, renamed.head))
+            choices.append((pairs, renamed.atoms, renamed.comparisons))
+        if not choices:
+            return []
+        choice_lists.append(choices)
+
+    disjuncts: list[ConjunctiveQuery] = []
+    for combo in itertools.product(*choice_lists):
+        mapping = _unify(pair for pairs, _atoms, _ineqs in combo for pair in pairs)
+        if mapping is None:
+            continue
+        candidate = _normal_form(
+            normal.head,
+            [atom for _pairs, atoms, _ineqs in combo for atom in atoms],
+            normal.comparisons
+            + tuple(comp for _pairs, _atoms, ineqs in combo for comp in ineqs),
+            mapping,
+            normal.name,
+        )
+        if candidate is not None:
+            disjuncts.append(candidate)
+    return disjuncts
+
+
+def _unify(pairs: Iterable[tuple[Term, Term]]) -> dict[Variable, Term] | None:
+    """The most general unifier of the pairs, resolved to representatives.
+
+    A small union-find: a class containing a constant is represented by
+    it, otherwise by the root the first binding left, so an atom term
+    stays the representative of the fresh head variable bound to it.
+    ``None`` when two distinct constants would be equated.
+    """
+    parent: dict[Variable, Term] = {}
+
+    def find(term: Term) -> Term:
+        while isinstance(term, Variable) and term in parent:
+            term = parent[term]
+        return term
+
+    for atom_term, head_term in pairs:
+        left, right = find(atom_term), find(head_term)
+        if left == right:
+            continue
+        if isinstance(right, Variable):
+            parent[right] = left
+        elif isinstance(left, Variable):
+            parent[left] = right
+        else:
+            return None  # two distinct constants
+    return {variable: find(variable) for variable in parent}

@@ -11,7 +11,7 @@ from repro.data.schema import RelationSchema
 from repro.errors import QueryError
 from repro.logic.cq import Atom, ConjunctiveQuery, eq, neq
 from repro.logic.terms import Constant, Variable
-from repro.logic.ucq import UnionQuery
+from repro.logic.ucq import UnionQuery, compose
 
 ARITIES = {"E": 2, "F": 2, "T": 3}
 VARIABLES = [Variable(n) for n in ("x", "y", "z", "w")]
@@ -162,3 +162,20 @@ class TestCompiledEvaluation:
         q1, q2 = _pad(q1, arity), _pad(q2, arity)
         union = UnionQuery.of(q1, q2)
         assert union.evaluate(db) == _oracle(q1, db) | _oracle(q2, db)
+
+
+class TestCompositionProperties:
+    @given(conjunctive_queries(), conjunctive_queries(), conjunctive_queries(), databases())
+    @settings(max_examples=150, deadline=None)
+    def test_compose_matches_materialization(self, query, d1, d2, db):
+        # E := d1 ∪ d2 over the base E, F, T; unfolding the query's E atoms
+        # must answer like the query on a database whose E is materialized.
+        definition = UnionQuery.of(_pad(d1, 2), _pad(d2, 2))
+        materialized = dict(db)
+        materialized["E"] = Relation(db["E"].schema, definition.evaluate(db))
+        composed = compose(query, {"E": definition})
+        assert composed.evaluate(db) == query.evaluate(materialized)
+        for disjunct in composed:
+            assert not disjunct.equalities() and disjunct.normalized() is disjunct
+            rebuilt = ConjunctiveQuery(disjunct.head, disjunct.atoms, disjunct.comparisons)
+            assert rebuilt == disjunct

@@ -198,3 +198,30 @@ def test_evaluation_memos_never_reach_the_wire():
     assert not {"_classes", "_normal", "_plan"} & set(vars(roundtrip(cq)))
     assert "_plan" not in vars(roundtrip(foq))
     assert run_relational(roundtrip(travel), sample_database(), booking_request()).output == packages
+
+
+def test_composed_expansion_roundtrip():
+    """Expansions reach workers and the artifact store as pickles.
+
+    Their disjuncts are built as normal forms without the safety check;
+    the copy must carry none of the memos and still be its own normal
+    form with the same answers.
+    """
+    from repro.core.unfold import evaluate_expansion, expand
+    from repro.data.generators import InstanceGenerator
+
+    sws = cq_diamond_sws(3)
+    expansion = expand(sws, 4)
+    gen = InstanceGenerator(seed=5, domain_size=2)
+    db = gen.database(sws.db_schema, 3)
+    inputs = gen.input_sequence(sws.input_schema, 4, 2)
+    rows = evaluate_expansion(expansion, sws, db, inputs, 4)
+    assert rows
+    assert all(d._plan is not None for d in expansion.disjuncts)
+
+    copy = roundtrip(expansion)
+    assert copy == expansion and len(copy.disjuncts) == len(expansion.disjuncts)
+    for disjunct in copy.disjuncts:
+        assert not {"_classes", "_normal", "_plan"} & set(vars(disjunct))
+        assert disjunct.normalized() is disjunct
+    assert evaluate_expansion(copy, sws, db, inputs, 4) == rows
