@@ -126,6 +126,37 @@ def merge_section(
         handle.write("\n")
     return data
 
+def pair_with_baseline(
+    rows: list[dict],
+    baseline: str,
+    section: str,
+    key: str,
+    metric: str,
+    speedup: str = "speedup",
+    same: tuple[str, ...] = (),
+) -> str:
+    """Pair ``rows`` with the rows the same emitter wrote at a baseline commit.
+
+    ``baseline`` is the JSON file the emitter wrote in a checkout of the
+    baseline commit.  Its ``section`` rows are matched on ``key`` and must
+    agree on every field named in ``same``.  Each row gains
+    ``<metric>_before`` and ``speedup`` (baseline over this run).  Returns
+    the note that explains ``<metric>_before`` in the section payload.
+    """
+    with open(baseline) as handle:
+        before = {row[key]: row for row in json.load(handle)[section]["rows"]}
+    for row in rows:
+        base = before[row[key]]
+        for field in same:
+            if base[field] != row[field]:
+                raise SystemExit(
+                    f"{row[key]}: {field} {row[field]!r} differs from the baseline"
+                )
+        row[f"{metric}_before"] = base[metric]
+        row[speedup] = round(base[metric] / row[metric], 2)
+    return f"{metric} of the same emitter run in a checkout of the baseline commit"
+
+
 def relational_main(
     emitter_file: str,
     section: str,
@@ -139,9 +170,9 @@ def relational_main(
     Times every ``(case, call)`` best of 5 and records the call's result
     (a verdict or an output size) next to the seconds.  ``--before``
     names the JSON that the *same* emitter wrote in a checkout of the
-    baseline commit: its rows are matched on ``case``, must agree on the
-    result, and add ``seconds_before`` and ``speedup``.  Then writes the
-    emitter's trace artifact.
+    baseline commit, paired through :func:`pair_with_baseline` on
+    ``case`` (the results must agree).  Then writes the emitter's trace
+    artifact.
     """
     import argparse
 
@@ -154,29 +185,18 @@ def relational_main(
         "checkout of the baseline commit",
     )
     args = parser.parse_args(argv)
-    before = {}
-    if args.before:
-        with open(args.before) as handle:
-            before = {row["case"]: row for row in json.load(handle)[section]["rows"]}
     rows = []
     for case, call in cases():
         seconds, result = timed(call, repeats=5)
-        row = {"case": case, "result": result, "seconds": round(seconds, 6)}
-        if args.before:
-            base = before[case]
-            if base["result"] != result:
-                raise SystemExit(f"{case}: result {result!r} differs from the baseline")
-            row["seconds_before"] = base["seconds"]
-            row["speedup"] = round(base["seconds"] / row["seconds"], 2)
-        rows.append(row)
+        rows.append({"case": case, "result": result, "seconds": round(seconds, 6)})
     payload = {
         "experiment": experiment,
         "seconds": "best of 5 wall-clock repetitions of the case",
         "rows": rows,
     }
     if args.before:
-        payload["seconds_before"] = (
-            "seconds of the same emitter run in a checkout of the baseline commit"
+        payload["seconds_before"] = pair_with_baseline(
+            rows, args.before, section, "case", "seconds", same=("result",)
         )
     merge_section(
         BENCH_TABLE1_RELATIONAL,

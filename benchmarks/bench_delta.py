@@ -135,15 +135,37 @@ def bench_menu_editing() -> dict:
     }
 
 
-def main() -> None:
-    from _bench_io import merge_section
+def main(argv: list[str] | None = None) -> None:
+    import argparse
 
+    from _bench_io import merge_section, pair_with_baseline
+
+    parser = argparse.ArgumentParser(prog="bench_delta.py")
+    parser.add_argument(
+        "--before",
+        metavar="JSON",
+        help="BENCH_delta.json written by this script in a checkout of the "
+        "baseline commit",
+    )
+    args = parser.parse_args(argv)
     menu = bench_menu_editing()
+    if args.before:
+        menu["recheck_mean_s_before"] = pair_with_baseline(
+            menu["rows"],
+            args.before,
+            "menu_editing",
+            "branches",
+            "recheck_mean_s",
+            speedup="recheck_speedup_vs_before",
+        )
     merge_section(
         "BENCH_delta.json",
         "menu_editing",
         menu,
-        regenerate="python benchmarks/bench_delta.py",
+        regenerate=(
+            "PYTHONPATH=src python benchmarks/bench_delta.py "
+            "[--before <baseline checkout>/BENCH_delta.json]"
+        ),
     )
     failed = [
         row for row in menu["rows"] if row["speedup_mean"] < MIN_SPEEDUP
@@ -156,6 +178,11 @@ def main() -> None:
             f"({row['speedup_mean']:.1f}x), "
             f"{row['recheck_best_s'] * 1e3:6.2f}ms best "
             f"({row['speedup_best']:.1f}x) | modes {row['modes']}"
+            + (
+                f" | {row['recheck_speedup_vs_before']}x vs before"
+                if "recheck_speedup_vs_before" in row
+                else ""
+            )
         )
     if failed:
         raise SystemExit(

@@ -65,64 +65,9 @@ assert answer.trip.limit == "deadline"
 PY
 python -m repro.obs guard > /dev/null
 
-echo "== serve smoke (2-worker batch + cache hits on resubmission) =="
-python - <<'PY'
-from repro.serve import JobSpec, SolverService
-from repro.workloads.scaling import pl_counter_sws
-
-specs = [
-    JobSpec("nonempty_pl", (pl_counter_sws(n),), label=f"counter-{n}-{i}")
-    for i in (0, 1)
-    for n in (6, 7, 8, 9)
-]
-with SolverService(workers=2) as service:
-    cold = service.run_batch(specs)
-    assert [a.verdict.value for a in cold] == ["yes"] * 8
-    assert service.jobs_executed == 4, service.stats()  # dedup
-    warm = service.run_batch(specs)
-    assert all(a.is_yes for a in warm)
-    assert service.cache.stats.hits >= 8, service.stats()
-    assert service.jobs_executed == 4, service.stats()  # all cached
-PY
-python -m repro.serve procedures > /dev/null
-
-echo "== store smoke (write, reopen cold, warm-start hit) =="
-STORE_DIR="$(mktemp -d /tmp/repro_store_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}"' EXIT
-REPRO_STORE_SMOKE_DIR="${STORE_DIR}" python - <<'PY'
-import os
-
-import repro.automata.afa as afa
-from repro.serve import JobSpec, SolverService
-from repro.workloads.scaling import pl_counter_sws
-
-cache_dir = os.environ["REPRO_STORE_SMOKE_DIR"]
-specs = [JobSpec("nonempty_pl", (pl_counter_sws(8),))]
-
-# Write: a service with a store-backed disk tier solves once.
-with SolverService(cache_dir=cache_dir) as service:
-    assert service.run_batch(specs)[0].is_yes
-    stats = service.cache.store.stats()
-    assert stats["journal_mode"] == "wal", stats
-    assert stats["answers"] == 1, stats
-    assert stats["artifacts"], stats
-
-# Reopen cold: simulate a fresh process (cleared compile caches,
-# empty memory tier) and warm-start from the store.
-afa._SEARCHER_CACHE.clear()
-afa._DIFF_SEARCHER_CACHE.clear()
-with SolverService(cache_dir=cache_dir) as service:
-    assert service.cache.stats.disk_loaded == 1
-    assert service.run_batch(specs)[0].is_yes
-    assert service.jobs_executed == 0, service.stats()  # answer reused
-    assert service.cache.stats.hits >= 1
-PY
-python -m repro.serve store stats "${STORE_DIR}" > /dev/null
-python -m repro.serve store vacuum "${STORE_DIR}" > /dev/null
-
 echo "== chaos smoke (faulted soak + dead-letter CLI round-trip) =="
 CHAOS_DIR="$(mktemp -d /tmp/repro_chaos_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}"' EXIT
+trap 'rm -f "${OBS_TRACE}"; rm -rf "${CHAOS_DIR}"' EXIT
 REPRO_METRICS="${CHAOS_DIR}/chaos-metrics.jsonl" python - <<'PY'
 from repro.analysis import nonempty_pl
 from repro.guard import Budget, inject
@@ -202,7 +147,7 @@ python -m repro.serve dlq list "${CHAOS_DIR}/cache" 2>&1 | grep -q "dlq: empty"
 
 echo "== metrics smoke (exported snapshot + dashboard frame) =="
 METRICS_DIR="$(mktemp -d /tmp/repro_metrics_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}" "${METRICS_DIR}"' EXIT
+trap 'rm -f "${OBS_TRACE}"; rm -rf "${CHAOS_DIR}" "${METRICS_DIR}"' EXIT
 cat > "${METRICS_DIR}/jobs.jsonl" <<'JOBS'
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [6]}], "label": "c6"}
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.scaling:pl_counter_sws", "args": [7]}], "label": "c7"}
@@ -231,7 +176,7 @@ python -m repro.serve top "${METRICS_DIR}/metrics.jsonl" --once > /dev/null
 
 echo "== delta smoke (serve --repeat sessions) =="
 DELTA_DIR="$(mktemp -d /tmp/repro_delta_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}" "${METRICS_DIR}" "${DELTA_DIR}"' EXIT
+trap 'rm -f "${OBS_TRACE}"; rm -rf "${CHAOS_DIR}" "${METRICS_DIR}" "${DELTA_DIR}"' EXIT
 # The `python -m repro.delta` CLI runs in tests/delta/test_cli.py.
 cat > "${DELTA_DIR}/jobs.jsonl" <<'JOBS'
 {"procedure": "nonempty_pl", "instances": [{"factory": "repro.workloads.editing:edited_menu", "kwargs": {"step": "@round", "edits": 4}}], "label": "edited-menu"}
@@ -260,7 +205,7 @@ python -m repro.obs critical-path 'BENCH_*.trace.jsonl' --limit 8 > /dev/null
 
 echo "== introspection smoke (profiler + progress + explain + flame) =="
 INTROSPECT_DIR="$(mktemp -d /tmp/repro_introspect_smoke.XXXXXX)"
-trap 'rm -f "${OBS_TRACE}"; rm -rf "${STORE_DIR}" "${CHAOS_DIR}" "${METRICS_DIR}" "${DELTA_DIR}" "${INTROSPECT_DIR}"' EXIT
+trap 'rm -f "${OBS_TRACE}"; rm -rf "${CHAOS_DIR}" "${METRICS_DIR}" "${DELTA_DIR}" "${INTROSPECT_DIR}"' EXIT
 REPRO_INTROSPECT_DIR="${INTROSPECT_DIR}" python - <<'PY'
 import json
 import os
@@ -309,7 +254,7 @@ python -m repro.obs flame "${INTROSPECT_DIR}/introspect.collapsed" \
     -o "${INTROSPECT_DIR}/introspect.html" > /dev/null
 test -s "${INTROSPECT_DIR}/introspect.html"
 
-echo "== smoke tests (profiler-overhead guard) =="
+echo "== smoke tests (profiler-overhead guard, serve and store) =="
 python -m pytest tests/ -m smoke
 
 echo "all green"

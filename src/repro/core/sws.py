@@ -93,6 +93,10 @@ class SynthesisRule:
 class SWS:
     """A synthesized Web service (Definition 2.1)."""
 
+    #: The service's sub-fingerprint tree, computed on first use by
+    #: :func:`repro.serve.fingerprint.sub_fingerprints`; pickling drops it.
+    _tree = None
+
     def __init__(
         self,
         states: Iterable[str],
@@ -116,6 +120,11 @@ class SWS:
         self.input_schema = input_schema
         self.output_arity = output_arity
         self._validate()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_tree", None)
+        return state
 
     # -- validation (Definition 2.1 well-formedness) ------------------------------------
 

@@ -7,8 +7,8 @@ engine, and the :class:`~repro.delta.snapshot.SearchState` snapshot.
 Decided answers flow into the serve-tier answer cache under the same
 delta-aware job fingerprints the scheduler uses, so an edited spec that
 later arrives through ``serve run`` hits the cache; snapshots persist
-in the store's ``search_states`` table (schema v3) so a *new process*
-can reopen the session and still re-check incrementally.
+in the store's ``search_states`` table so a *new process* can reopen
+the session and still re-check incrementally.
 
 Obtain one directly, or from a running service via
 :meth:`repro.serve.scheduler.SolverService.session` (which wires the

@@ -42,8 +42,9 @@ _UNSET = object()
 #: Marks a query that is its own normal form.
 _SELF = object()
 
-#: Per-instance memos that pickling drops (see ``__getstate__``).
-_DERIVED = ("_classes", "_normal", "_plan")
+#: Per-instance memos that pickling drops (see ``__getstate__``).  The
+#: hash is among them: string hashes differ between interpreters.
+_DERIVED = ("_classes", "_normal", "_plan", "_hash")
 
 
 @dataclass(frozen=True)
@@ -179,6 +180,7 @@ class ConjunctiveQuery:
     _classes: "list[list[Term]] | None" = None
     _normal: "ConjunctiveQuery | None | object" = _UNSET
     _plan: "_JoinPlan | None" = None
+    _hash: "int | None" = None
 
     def __init__(
         self,
@@ -280,16 +282,27 @@ class ConjunctiveQuery:
         return query
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, ConjunctiveQuery):
             return NotImplemented
         return (
-            self.head == other.head
-            and set(self.atoms) == set(other.atoms)
-            and set(self.comparisons) == set(other.comparisons)
+            hash(self) == hash(other)
+            and self.head == other.head
+            and (self.atoms == other.atoms or set(self.atoms) == set(other.atoms))
+            and (
+                self.comparisons == other.comparisons
+                or set(self.comparisons) == set(other.comparisons)
+            )
         )
 
     def __hash__(self) -> int:
-        return hash((self.head, frozenset(self.atoms), frozenset(self.comparisons)))
+        # Memoized: queries are keys of the fingerprint memos.
+        if self._hash is None:
+            self._hash = hash(
+                (self.head, frozenset(self.atoms), frozenset(self.comparisons))
+            )
+        return self._hash
 
     def __str__(self) -> str:
         head = f"{self.name}({', '.join(str(t) for t in self.head)})"

@@ -28,6 +28,8 @@ class UnionQuery:
     constant empty answer — SWS synthesis rules may degenerate to it.
     """
 
+    _hash: "int | None" = None
+
     def __init__(
         self,
         disjuncts: Iterable[ConjunctiveQuery],
@@ -92,12 +94,30 @@ class UnionQuery:
         return iter(self.disjuncts)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, UnionQuery):
             return NotImplemented
-        return self.arity == other.arity and set(self.disjuncts) == set(other.disjuncts)
+        return (
+            hash(self) == hash(other)
+            and self.arity == other.arity
+            and (
+                self.disjuncts == other.disjuncts
+                or set(self.disjuncts) == set(other.disjuncts)
+            )
+        )
 
     def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self.disjuncts)))
+        # Memoized: queries are keys of the fingerprint memos.
+        if self._hash is None:
+            self._hash = hash((self.arity, frozenset(self.disjuncts)))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # The memoized hash is per interpreter (string hashes differ).
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def __str__(self) -> str:
         if not self.disjuncts:

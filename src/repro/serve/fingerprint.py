@@ -7,17 +7,31 @@ of its instance.  Python's builtin ``hash`` (and anything derived from
 construction order, so fingerprints are computed over an explicit
 canonical form instead:
 
-* unordered containers (sets, dicts, ``DatabaseSchema``, SWS/mediator
-  rule maps) are serialized in sorted order;
-* ordered containers (tuples of transition targets, CQ atom lists,
-  query heads) keep their order — position is semantics there (``A1``
+* unordered containers (sets, dicts, ``DatabaseSchema``, mediator rule
+  maps) are serialized in sorted order, and so are the parts a query's
+  own equality treats as sets: CQ atoms and comparisons, UCQ disjuncts;
+* ordered containers (tuples of transition targets, query heads, FO
+  operands) keep their order — position is semantics there (``A1``
   refers to the first successor);
+* an SWS has one scheme, the per-state Merkle tree of
+  :func:`sub_fingerprints`: one digest per state's rules, one for the
+  global fields, and a root over both.  Its canonical form *is* that
+  root, so job keys, mediator components and :mod:`repro.delta` diffs
+  all agree, and a resubmitted or edited service costs one dictionary
+  lookup per unchanged state rather than a walk of every rule;
 * subset-valued automaton states reuse the canonical naming discipline
   of :func:`repro.automata.afa.symbol_sort_key` /
   ``_canonical_state_name`` from PR 1, so a determinized DFA fingerprints
   identically however its frozenset states were built;
 * ``name`` attributes are **excluded** — they are labels, not structure,
   so renaming a service does not lose its cache entries.
+
+The memos behind the tree are keyed on values, not on objects, and the
+keys are exact: two keys are equal only when their canonical forms are.
+Query constants compare by Python value, as query evaluation does, so
+``Constant(1)``, ``Constant(1.0)`` and ``Constant(True)`` are one
+constant and share one canonical form (:func:`_constant_value`).  What
+a digest is therefore never depends on what the process saw first.
 
 The fingerprint is the SHA-256 of the canonical form, making collisions
 between distinct instances negligible; equal fingerprints are treated as
@@ -83,9 +97,11 @@ def _sorted_map(mapping: Mapping[Any, Any]) -> tuple:
 #: DAGs with heavy sharing; a plain tree recursion re-expands every
 #: shared subformula (exponentially, in the worst case), while the memo
 #: keeps the walk linear in DAG size.  Interning also keeps the nodes
-#: alive process-wide, so a bounded plain dict is the right cache shape.
+#: alive process-wide, so a bounded plain dict is the right cache shape;
+#: it is cleared when full.  SWS rules reach it only on a miss of
+#: :data:`_STATE_DIGEST_MEMO`, so one-off services add few nodes.
 _PL_CANON_MEMO: dict[pl.Formula, tuple] = {}
-_PL_CANON_MEMO_LIMIT = 200_000
+_PL_CANON_MEMO_LIMIT = 8_192
 
 
 def _pl_formula(formula: pl.Formula) -> tuple:
@@ -104,10 +120,7 @@ def _pl_formula(formula: pl.Formula) -> tuple:
         result = ("pl.or", tuple(_pl_formula(op) for op in formula.operands))
     else:
         raise FingerprintError(f"unknown PL node {type(formula).__name__}")
-    if len(_PL_CANON_MEMO) >= _PL_CANON_MEMO_LIMIT:
-        _PL_CANON_MEMO.clear()
-    _PL_CANON_MEMO[formula] = result
-    return result
+    return _remember(_PL_CANON_MEMO, _PL_CANON_MEMO_LIMIT, formula, result)
 
 
 def _fo_formula(formula: fo.FOFormula) -> tuple:
@@ -130,30 +143,6 @@ def _fo_formula(formula: fo.FOFormula) -> tuple:
 def _transition_rule(rule: TransitionRule) -> tuple:
     # Target order is positional semantics (A1, A2, ... registers).
     return tuple((target, canonical(query)) for target, query in rule.targets)
-
-
-def _sws(sws: SWS) -> tuple:
-    return (
-        "sws",
-        sws.kind.value,
-        _sorted_set(sws.states),
-        sws.start,
-        tuple(
-            sorted(
-                (state, _transition_rule(rule))
-                for state, rule in sws.transitions.items()
-            )
-        ),
-        tuple(
-            sorted(
-                (state, canonical(rule.query))
-                for state, rule in sws.synthesis.items()
-            )
-        ),
-        canonical(sws.db_schema),
-        canonical(sws.input_schema),
-        sws.output_arity,
-    )
 
 
 def _mediator(mediator: Mediator) -> tuple:
@@ -233,17 +222,38 @@ def _dfa(dfa: DFA) -> tuple:
     )
 
 
+def _constant_value(value: Any) -> Any:
+    """One form per equality class of a query constant's value.
+
+    ``Constant`` equality is Python value equality, so the form sends
+    equal values to one form: a bool or an integral float becomes its
+    int, and a tuple is formed element-wise.  Other types raise :class:`FingerprintError` rather than risk a form that equal
+    values do not share.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    if value is None or isinstance(value, (int, float, str, bytes)):
+        return value
+    if isinstance(value, tuple):
+        return ("seq", tuple(_constant_value(item) for item in value))
+    raise FingerprintError(
+        f"no canonical form for a constant of type {type(value).__name__}"
+    )
+
+
 def _cq(query: ConjunctiveQuery) -> tuple:
+    # Atoms and comparisons are sets, as in ConjunctiveQuery.__eq__:
+    # listing the same body in another order asks the same question.
+    atoms = {("atom", atom.relation, _seq(atom.terms)) for atom in query.atoms}
+    comparisons = {
+        ("neq" if c.negated else "eq", canonical(c.left), canonical(c.right))
+        for c in query.comparisons
+    }
     return (
         "cq",
         _seq(query.head),
-        tuple(
-            ("atom", atom.relation, _seq(atom.terms)) for atom in query.atoms
-        ),
-        tuple(
-            ("neq" if c.negated else "eq", canonical(c.left), canonical(c.right))
-            for c in query.comparisons
-        ),
+        tuple(sorted(atoms, key=repr)),
+        tuple(sorted(comparisons, key=repr)),
     )
 
 
@@ -265,7 +275,7 @@ def canonical(value: Any) -> Any:
     if isinstance(value, pl.Formula):
         return _pl_formula(value)
     if isinstance(value, SWS):
-        return _sws(value)
+        return ("sws", _tree(value).root)
     if isinstance(value, Mediator):
         return _mediator(value)
     if isinstance(value, AFA):
@@ -277,7 +287,9 @@ def canonical(value: Any) -> Any:
     if isinstance(value, ConjunctiveQuery):
         return _cq(value)
     if isinstance(value, UnionQuery):
-        return ("ucq", value.arity, tuple(_cq(d) for d in value.disjuncts))
+        # Disjuncts are a set, as in UnionQuery.__eq__.
+        disjuncts = {_cq(d) for d in value.disjuncts}
+        return ("ucq", value.arity, tuple(sorted(disjuncts, key=repr)))
     if isinstance(value, fo.FOQuery):
         return ("fo.query", _seq(value.head), _fo_formula(value.formula))
     if isinstance(value, fo.FOFormula):
@@ -285,7 +297,7 @@ def canonical(value: Any) -> Any:
     if isinstance(value, Variable):
         return ("var", value.name)
     if isinstance(value, Constant):
-        return ("const", type(value.value).__name__, repr(value.value))
+        return ("const", _constant_value(value.value))
     if isinstance(value, LabeledNull):
         return ("null", value.label)
     if isinstance(value, Atom):
@@ -327,15 +339,32 @@ def canonical(value: Any) -> Any:
 
 def fingerprint(value: Any) -> str:
     """SHA-256 hex digest of ``value``'s canonical form."""
-    return hashlib.sha256(repr(canonical(value)).encode("utf-8")).hexdigest()
+    return _digest(canonical(value))
 
 
-#: Per-state digest memo.  ``TransitionRule``/``SynthesisRule`` are frozen
-#: dataclasses over hash-consed formulas, so edited copies of a service
-#: share rule *objects* for untouched states and their digests hash-match
-#: here without re-canonicalizing the rules.
+#: Per-state digest memo, keyed on the state's ``(TransitionRule,
+#: SynthesisRule)`` pair by value.  Rules are frozen dataclasses over
+#: hash-consed formulas or value-compared queries, so edited copies of a
+#: service (which share rule objects for untouched states) and services
+#: rebuilt by the same builder both hit here without re-canonicalizing
+#: the rules.  The key is exact: rule equality implies canonical
+#: equality (see the module docstring).  Cleared when full; a catalog
+#: of services keeps well under the limit, and one-off services cannot
+#: grow it past it.
 _STATE_DIGEST_MEMO: dict[tuple[TransitionRule, SynthesisRule], str] = {}
-_STATE_DIGEST_MEMO_LIMIT = 100_000
+_STATE_DIGEST_MEMO_LIMIT = 1_024
+
+#: Global-field digest memo, keyed on (kind, state set, start, schemas,
+#: output arity) by value.
+_GLOBALS_DIGEST_MEMO: dict[tuple, str] = {}
+_GLOBALS_DIGEST_MEMO_LIMIT = 1_024
+
+
+def _remember(memo: dict, limit: int, key: Any, value: Any) -> Any:
+    if len(memo) >= limit:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _digest(payload: Any) -> str:
@@ -343,16 +372,16 @@ def _digest(payload: Any) -> str:
 
 
 class SubFingerprints:
-    """Merkle decomposition of an SWS fingerprint.
+    """Merkle tree of an SWS: its canonical form and what a diff reads.
 
     ``states`` maps each state to the digest of its local rules
     (transition rule + synthesis rule); ``globals_digest`` covers
     everything that is not local to one state (kind, state set, start
     state, schemas, output arity).  ``root`` hashes the two layers
-    together, so two instances have equal roots exactly when they have
-    equal :func:`fingerprint`\\ s (up to SHA-256 collisions) — and a diff
-    of two trees localizes *which* states changed without comparing
-    canonical forms rule by rule.
+    together and is the SWS's canonical form, so two instances have
+    equal roots exactly when they have equal :func:`fingerprint`\\ s —
+    and a diff of two trees localizes *which* states changed without
+    comparing rules.
     """
 
     __slots__ = ("root", "globals_digest", "states")
@@ -373,28 +402,35 @@ class SubFingerprints:
         return frozenset(changed)
 
 
-def sub_fingerprints(sws: SWS) -> SubFingerprints:
-    """Per-state Merkle tree over ``sws``'s canonical form."""
-    if not isinstance(sws, SWS):
-        raise FingerprintError(
-            f"sub_fingerprints is defined for SWS instances, not {type(sws).__name__}"
-        )
+def _tree(sws: SWS) -> SubFingerprints:
+    # Computed once per instance: the tree is kept on the SWS (which
+    # drops it when pickled), so keying a job on a service the caller
+    # already diffed costs an attribute read.
+    tree = sws._tree
+    if tree is not None:
+        return tree
     states: dict[str, str] = {}
     for state in sws.states:
-        rule = sws.transitions[state]
-        synth = sws.synthesis[state]
-        key = (rule, synth)
-        cached = _STATE_DIGEST_MEMO.get(key)
-        if cached is None:
-            cached = _digest(
-                ("sws.state", _transition_rule(rule), canonical(synth.query))
+        key = (sws.transitions[state], sws.synthesis[state])
+        digest = _STATE_DIGEST_MEMO.get(key)
+        if digest is None:
+            rule, synth = key
+            payload = ("sws.state", _transition_rule(rule), canonical(synth.query))
+            digest = _remember(
+                _STATE_DIGEST_MEMO, _STATE_DIGEST_MEMO_LIMIT, key, _digest(payload)
             )
-            if len(_STATE_DIGEST_MEMO) >= _STATE_DIGEST_MEMO_LIMIT:
-                _STATE_DIGEST_MEMO.clear()
-            _STATE_DIGEST_MEMO[key] = cached
-        states[state] = cached
-    globals_digest = _digest(
-        (
+        states[state] = digest
+    key = (
+        sws.kind,
+        frozenset(sws.states),
+        sws.start,
+        sws.db_schema,
+        sws.input_schema,
+        sws.output_arity,
+    )
+    globals_digest = _GLOBALS_DIGEST_MEMO.get(key)
+    if globals_digest is None:
+        payload = (
             "sws.globals",
             sws.kind.value,
             _sorted_set(sws.states),
@@ -403,11 +439,21 @@ def sub_fingerprints(sws: SWS) -> SubFingerprints:
             canonical(sws.input_schema),
             sws.output_arity,
         )
-    )
-    root = _digest(
-        ("sws.root", globals_digest, tuple(sorted(states.items())))
-    )
-    return SubFingerprints(root, globals_digest, states)
+        globals_digest = _remember(
+            _GLOBALS_DIGEST_MEMO, _GLOBALS_DIGEST_MEMO_LIMIT, key, _digest(payload)
+        )
+    root = _digest(("sws.root", globals_digest, tuple(sorted(states.items()))))
+    tree = sws._tree = SubFingerprints(root, globals_digest, states)
+    return tree
+
+
+def sub_fingerprints(sws: SWS) -> SubFingerprints:
+    """The per-state Merkle tree of ``sws``; its root is the SWS's canonical form."""
+    if not isinstance(sws, SWS):
+        raise FingerprintError(
+            f"sub_fingerprints is defined for SWS instances, not {type(sws).__name__}"
+        )
+    return _tree(sws)
 
 
 def job_fingerprint(
@@ -428,4 +474,4 @@ def job_fingerprint(
         _seq(args),
         tuple(sorted((k, canonical(v)) for k, v in (kwargs or {}).items())),
     )
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    return _digest(payload)

@@ -17,8 +17,11 @@ safely:
   SQLite's own lock with :data:`BUSY_TIMEOUT_MS`, and the few
   operational errors that still surface (e.g. over NFS) are retried
   with backoff before giving up.
-* **``schema_version`` table** — layout changes are detectable; opening
-  a newer-versioned store raises instead of corrupting it.
+* **``schema_version`` table** — layout and key-scheme changes are
+  detectable.  The store is a cache: an older store is rebuilt on open
+  (its answer, artifact and snapshot tables are dropped and recreated;
+  the dead-letter rows, which are operator records, are kept), and
+  opening a newer-versioned store raises instead of corrupting it.
 * **Indexed fingerprint lookups** — answers key on the structural job
   fingerprint (primary key = the index); artifacts on ``(kind, key)``.
 
@@ -52,11 +55,15 @@ __all__ = [
     "retry_backoff_s",
 ]
 
-#: Version of the on-disk schema; bump on incompatible layout changes.
-#: v2 added the ``dlq`` dead-letter table; v3 the ``search_states``
-#: table for :mod:`repro.delta` snapshots (older stores upgrade in
-#: place on open — the new tables are simply created).
-STORE_SCHEMA_VERSION = 3
+#: Version of the on-disk schema; bump on layout changes and whenever
+#: the fingerprint scheme that keys the rows changes.  v4: SWS keys are
+#: the per-state Merkle root (:func:`repro.serve.fingerprint.sub_fingerprints`).
+STORE_SCHEMA_VERSION = 4
+
+#: Tables keyed by fingerprints, dropped when an older store is opened.
+#: ``dlq`` is not among them: ``dlq retry`` re-fingerprints each job
+#: from its payload, so its rows stay valid across key schemes.
+_CACHE_TABLES = ("answers", "artifacts", "search_states")
 
 #: How long a writer waits on SQLite's lock before erroring (ms).
 BUSY_TIMEOUT_MS = 10_000
@@ -198,15 +205,20 @@ class Store:
 
     def _init_schema(self, conn: sqlite3.Connection) -> None:
         with self._lock:
+            self._retry(lambda: self._migrate(conn))
+
+    def _migrate(self, conn: sqlite3.Connection) -> None:
+        # One IMMEDIATE transaction: concurrent openers of an older store
+        # rebuild it once, and none of them sees it half rebuilt.
+        conn.execute("BEGIN IMMEDIATE")
+        try:
             for statement in _SCHEMA:
-                self._retry(lambda s=statement: conn.execute(s))
+                conn.execute(statement)
             row = conn.execute("SELECT version FROM schema_version").fetchone()
             if row is None:
-                self._retry(
-                    lambda: conn.execute(
-                        "INSERT INTO schema_version (version) VALUES (?)",
-                        (STORE_SCHEMA_VERSION,),
-                    )
+                conn.execute(
+                    "INSERT INTO schema_version (version) VALUES (?)",
+                    (STORE_SCHEMA_VERSION,),
                 )
             elif row[0] > STORE_SCHEMA_VERSION:
                 raise StoreError(
@@ -214,15 +226,18 @@ class Store:
                     f"this library's {STORE_SCHEMA_VERSION}; refusing to touch it"
                 )
             elif row[0] < STORE_SCHEMA_VERSION:
-                # Older store: the CREATE IF NOT EXISTS pass above already
-                # added any new tables (all version bumps so far are purely
-                # additive); stamp the new version.
-                self._retry(
-                    lambda: conn.execute(
-                        "UPDATE schema_version SET version = ?",
-                        (STORE_SCHEMA_VERSION,),
-                    )
+                for table in _CACHE_TABLES:
+                    conn.execute(f"DROP TABLE {table}")
+                for statement in _SCHEMA:
+                    conn.execute(statement)
+                conn.execute(
+                    "UPDATE schema_version SET version = ?", (STORE_SCHEMA_VERSION,)
                 )
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
 
     @staticmethod
     def _retry(operation: Callable[[], Any]) -> Any:

@@ -1,6 +1,7 @@
 """Tests for the UCQ≠ expansion of CQ/UCQ services."""
 
 import itertools
+import random
 import time
 
 import pytest
@@ -205,6 +206,54 @@ def with_factory_names(sws):
     )
 
 
+def with_mixed_constants(sws, seed):
+    """The service with ``v = c`` / ``v ≠ c`` conditions over 0, 1, True, 1.0, False.
+
+    Python's ``==`` makes 1, True and 1.0 one value, and the run joins on
+    ``==``; composition must too, or a condition ``x = True`` composed
+    with ``x = 1`` reads as a clash the run never sees.
+    """
+    rng = random.Random(seed)
+
+    def constrain(cq):
+        atom_vars = sorted({v for a in cq.atoms for v in a.variables()})
+        conditions = [
+            rng.choice((eq, eq, neq))(
+                rng.choice(atom_vars), Constant(rng.choice((0, 1, True, 1.0, False)))
+            )
+            for _ in range(rng.randint(1, 2) if atom_vars else 0)
+        ]
+        return ConjunctiveQuery(
+            cq.head, cq.atoms, cq.comparisons + tuple(conditions), cq.name
+        )
+
+    def rewrite(query):
+        if isinstance(query, UnionQuery):
+            return UnionQuery(
+                [constrain(d) for d in query.disjuncts], arity=query.arity, name=query.name
+            )
+        return constrain(query)
+
+    transitions = {
+        state: TransitionRule([(t, rewrite(phi)) for t, phi in rule.targets])
+        for state, rule in sws.transitions.items()
+    }
+    synthesis = {
+        state: SynthesisRule(rewrite(rule.query)) for state, rule in sws.synthesis.items()
+    }
+    return SWS(
+        sws.states,
+        sws.start,
+        transitions,
+        synthesis,
+        kind=sws.kind,
+        db_schema=sws.db_schema,
+        input_schema=sws.input_schema,
+        output_arity=sws.output_arity,
+        name=f"{sws.name}_mixed",
+    )
+
+
 def three_state_service(a, b, c):
     """q0 reads the input, q1 follows R, q2 emits the S-successors."""
     x, y, z = var(a), var(b), var(c)
@@ -254,6 +303,10 @@ DIFFERENTIAL_FAMILIES = {
     "random": lambda seed: random_cq_sws(seed, n_states=3 + seed % 6),
     # Every diamond depth 1..4 (2 to 16 disjuncts) per round of seeds.
     "diamond": lambda seed: cq_diamond_sws(1 + seed % 4),
+    # Random services whose rules test values against 0, 1, True, 1.0, False.
+    "mixed": lambda seed: with_mixed_constants(
+        random_cq_sws(seed, n_states=3 + seed % 6), seed
+    ),
 }
 
 

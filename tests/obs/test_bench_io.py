@@ -4,6 +4,8 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 
@@ -82,3 +84,30 @@ class TestTraceArtifactPath:
         )
         assert os.path.basename(got) == "BENCH_table1_pl_recursive.trace.jsonl"
         assert os.path.dirname(got) == os.path.dirname(bench_io.BENCH_TABLE1_PL)
+
+
+class TestPairWithBaseline:
+    def _baseline(self, tmp_path, rows):
+        path = tmp_path / "BENCH_before.json"
+        path.write_text(json.dumps({"sec": {"rows": rows}}))
+        return str(path)
+
+    def test_rows_gain_the_baseline_metric_and_speedup(self, tmp_path):
+        baseline = self._baseline(
+            tmp_path, [{"case": "b", "seconds": 0.3}, {"case": "a", "seconds": 0.2}]
+        )
+        rows = [{"case": "a", "seconds": 0.1}, {"case": "b", "seconds": 0.3}]
+        note = bench_io.pair_with_baseline(rows, baseline, "sec", "case", "seconds")
+        assert note.startswith("seconds of the same emitter")
+        assert rows == [
+            {"case": "a", "seconds": 0.1, "seconds_before": 0.2, "speedup": 2.0},
+            {"case": "b", "seconds": 0.3, "seconds_before": 0.3, "speedup": 1.0},
+        ]
+
+    def test_a_differing_result_stops_the_pairing(self, tmp_path):
+        baseline = self._baseline(tmp_path, [{"case": "a", "seconds": 1, "result": True}])
+        rows = [{"case": "a", "seconds": 1, "result": False}]
+        with pytest.raises(SystemExit, match="differs from the baseline"):
+            bench_io.pair_with_baseline(
+                rows, baseline, "sec", "case", "seconds", same=("result",)
+            )

@@ -16,14 +16,18 @@ from repro.logic.ucq import UnionQuery, compose
 ARITIES = {"E": 2, "F": 2, "T": 3}
 VARIABLES = [Variable(n) for n in ("x", "y", "z", "w")]
 CONSTANTS = [Constant(v) for v in (0, 1, 2)]
+#: Values equal under ``==`` but of different types: constants compare
+#: by value, as evaluation does, so 1, True and 1.0 are one constant.
+MIXED_VALUES = (0, 1, 2, True, False, 1.0, 0.0)
+MIXED_CONSTANTS = [Constant(v) for v in MIXED_VALUES]
 
 
 @st.composite
-def conjunctive_queries(draw):
+def conjunctive_queries(draw, constants=CONSTANTS):
     """Safe CQs with repeated variables, constants, 3-ary atoms, = and ≠."""
     terms = st.one_of(
         st.sampled_from(VARIABLES[:3]), st.sampled_from(VARIABLES[:3]),
-        st.sampled_from(CONSTANTS),
+        st.sampled_from(constants),
     )
     atoms = []
     for _ in range(draw(st.integers(1, 3))):
@@ -31,14 +35,14 @@ def conjunctive_queries(draw):
         atoms.append(Atom(rel, tuple(draw(terms) for _ in range(ARITIES[rel]))))
     used = sorted({v for a in atoms for v in a.variables()}, key=lambda v: v.name)
     # ``w`` never occurs in an atom: it is safe only through an equality.
-    comparable = used + CONSTANTS + [VARIABLES[3]]
+    comparable = used + constants + [VARIABLES[3]]
     comparisons = []
     for _ in range(draw(st.integers(0, 2))):
         make = draw(st.sampled_from([eq, neq]))
         comparisons.append(
             make(draw(st.sampled_from(comparable)), draw(st.sampled_from(comparable)))
         )
-    head_terms = used + [VARIABLES[3]] + CONSTANTS[:1]
+    head_terms = used + [VARIABLES[3]] + constants[:1]
     head = tuple(
         draw(st.sampled_from(head_terms)) for _ in range(draw(st.integers(1, 2)))
     )
@@ -49,8 +53,7 @@ def conjunctive_queries(draw):
 
 
 @st.composite
-def databases(draw):
-    values = st.integers(0, 2)
+def databases(draw, values=st.integers(0, 2)):
     return {
         name: Relation(
             RelationSchema(name, [f"a{i}" for i in range(arity)]),
@@ -179,3 +182,67 @@ class TestCompositionProperties:
             assert not disjunct.equalities() and disjunct.normalized() is disjunct
             rebuilt = ConjunctiveQuery(disjunct.head, disjunct.atoms, disjunct.comparisons)
             assert rebuilt == disjunct
+
+
+def _brute_force_satisfiable(query):
+    """Some assignment over the constants plus fresh values meets every =/≠."""
+    fresh = [f"fresh{i}" for i in range(len(query.variables()))]
+    domain = [c.value for c in query.constants()] + fresh
+    variables = sorted(query.variables())
+
+    def value(term, assignment):
+        return term.value if isinstance(term, Constant) else assignment[term]
+
+    return any(
+        all(
+            (value(c.left, assignment) == value(c.right, assignment)) != c.negated
+            for c in query.comparisons
+        )
+        for assignment in (
+            dict(zip(variables, values))
+            for values in itertools.product(domain, repeat=len(variables))
+        )
+    )
+
+
+mixed_queries = conjunctive_queries(constants=MIXED_CONSTANTS)
+mixed_databases = databases(values=st.sampled_from(MIXED_VALUES))
+
+
+class TestMixedConstants:
+    """1, True and 1.0 are one constant in every layer: normal forms,
+    satisfiability, composition and evaluation all use value equality."""
+
+    def test_one_and_true_cannot_differ(self):
+        x, y = Variable("x"), Variable("y")
+        query = ConjunctiveQuery(
+            (),
+            [Atom("E", (x, x)), Atom("E", (y, y))],
+            [eq(x, Constant(1)), eq(y, Constant(True)), neq(x, y)],
+        )
+        assert not query.is_satisfiable() and query.normalized() is None
+        db = {
+            name: Relation(RelationSchema(name, [f"a{i}" for i in range(arity)]), [])
+            for name, arity in ARITIES.items()
+        }
+        db["E"] = Relation(db["E"].schema, [(1, 1)])
+        assert query.evaluate(db) == frozenset() == _oracle(query, db)
+
+    @given(mixed_queries, mixed_databases)
+    @settings(max_examples=150, deadline=None)
+    def test_cq_matches_oracle(self, query, db):
+        assert query.evaluate(db) == _oracle(query, db)
+
+    @given(mixed_queries)
+    @settings(max_examples=150, deadline=None)
+    def test_satisfiable_matches_brute_force(self, query):
+        assert query.is_satisfiable() == _brute_force_satisfiable(query)
+
+    @given(mixed_queries, mixed_queries, mixed_queries, mixed_databases)
+    @settings(max_examples=100, deadline=None)
+    def test_compose_matches_materialization(self, query, d1, d2, db):
+        definition = UnionQuery.of(_pad(d1, 2), _pad(d2, 2))
+        materialized = dict(db)
+        materialized["E"] = Relation(db["E"].schema, definition.evaluate(db))
+        composed = compose(query, {"E": definition})
+        assert composed.evaluate(db) == query.evaluate(materialized)

@@ -256,21 +256,6 @@ def test_dlq_survives_reopen(tmp_path):
         assert [r.fingerprint for r in store.list_dlq()] == ["fp-a"]
 
 
-def test_v1_store_upgrades_in_place(tmp_path):
-    """A pre-dlq store opens cleanly: the table is added, version bumped."""
-    path = str(tmp_path / "s.sqlite3")
-    with Store(path) as store:
-        store.put_answer("keep", Answer.yes(detail="survives the upgrade"))
-    with sqlite3.connect(path) as conn:
-        conn.execute("DROP TABLE dlq")
-        conn.execute("UPDATE schema_version SET version = 1")
-    with Store(path) as store:
-        assert store.stats()["schema_version"] == STORE_SCHEMA_VERSION
-        assert store.get_answer("keep").detail == "survives the upgrade"
-        store.put_dlq(_dlq_record("fp-new"))
-        assert store.dlq_count() == 1
-
-
 # -- search-state snapshots (schema v3) --------------------------------------------
 
 
@@ -316,40 +301,35 @@ def test_search_state_corrupt_payload_is_dropped(tmp_path):
         assert store.search_state_count() == 0  # the bad row was deleted
 
 
-def test_v2_store_upgrades_to_v3_in_place(tmp_path):
-    """A pre-delta (v2) store opens cleanly: ``search_states`` is added,
-    version bumped, and the dlq table carries over untouched."""
+@pytest.mark.parametrize("old_version", [1, STORE_SCHEMA_VERSION - 1])
+def test_older_store_is_rebuilt_keeping_the_dlq(tmp_path, old_version):
+    """An older store's cache tables are emptied; its DLQ rows survive.
+
+    Rows written under an older fingerprint scheme would never be hit
+    again, so the cache tables are dropped and recreated rather than
+    upgraded; dead-letter records are operator data and stay as they are.
+    """
     path = str(tmp_path / "s.sqlite3")
     with Store(path) as store:
-        store.put_answer("keep", Answer.yes(detail="survives the upgrade"))
+        store.put_answer("old-key", Answer.yes(detail="old scheme"))
+        store.put_artifact("afa.searchers", "old-key", {"src": "x"})
+        store.put_search_state("nonempty_pl", "old-key", {"old": True})
         store.put_dlq(_dlq_record("fp-old"))
+        kept = store.get_dlq("fp-old")
     with sqlite3.connect(path) as conn:
-        conn.execute("DROP TABLE search_states")
-        conn.execute("UPDATE schema_version SET version = 2")
+        conn.execute("UPDATE schema_version SET version = ?", (old_version,))
     with Store(path) as store:
-        assert store.stats()["schema_version"] == STORE_SCHEMA_VERSION
-        assert store.get_answer("keep").detail == "survives the upgrade"
-        assert store.dlq_count() == 1
+        stats = store.stats()
+        assert stats["schema_version"] == STORE_SCHEMA_VERSION == 4
+        assert store.answer_count() == 0
+        assert store.artifact_counts() == {}
+        assert store.search_state_count() == 0
+        assert store.list_dlq() == [kept]
+        # The rebuilt tables take writes as usual.
+        assert store.put_answer("new-key", Answer.no())
         assert store.put_search_state("p", "fp", {"fresh": True})
-        assert store.get_search_state("p", "fp") == {"fresh": True}
-
-
-def test_v1_store_upgrades_to_v3_chained(tmp_path):
-    """A v1 store (no dlq, no search_states) chains straight to v3."""
-    path = str(tmp_path / "s.sqlite3")
-    with Store(path) as store:
-        store.put_answer("keep", Answer.no(detail="v1 payload"))
-    with sqlite3.connect(path) as conn:
-        conn.execute("DROP TABLE dlq")
-        conn.execute("DROP TABLE search_states")
-        conn.execute("UPDATE schema_version SET version = 1")
-    with Store(path) as store:
-        assert store.stats()["schema_version"] == STORE_SCHEMA_VERSION
-        assert store.get_answer("keep").detail == "v1 payload"
-        store.put_dlq(_dlq_record("fp-new"))
-        assert store.dlq_count() == 1
-        assert store.put_search_state("p", "fp", {"fresh": True})
-        assert store.get_search_state("p", "fp") == {"fresh": True}
+    with Store(path) as store:  # a current store is left as it is
+        assert store.answer_count() == 1 and store.dlq_count() == 1
 
 
 # -- decorrelated retry backoff ----------------------------------------------------
